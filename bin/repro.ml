@@ -826,9 +826,8 @@ let check_cmd =
     | Ok _, _ when n < 1 || ops < 1 || n * ops > 62 ->
         `Error (false, "need n >= 1, ops >= 1 and n*ops <= 62")
     | Ok structs, Ok crash_events -> (
-        match
-          Sched.Crash_plan.validate ~n (Sched.Crash_plan.of_list crash_events)
-        with
+        let crashes = Sched.Fault_plan.of_crash_events crash_events in
+        match Sched.Fault_plan.validate ~n crashes with
         | Error msg -> `Error (false, "--crash: " ^ msg)
         | Ok () ->
         let violations = ref 0 in
@@ -904,9 +903,7 @@ let check_cmd =
                   Scenario.make ~n ~ops ~seed ?mix_seed:mix
                     ~faults:
                       {
-                        Sched.Fault_plan.base =
-                          Sched.Fault_plan.of_crash_plan
-                            (Sched.Crash_plan.of_list crash_events);
+                        Sched.Fault_plan.base = crashes;
                         rates = Sched.Fault_plan.zero_rates;
                       }
                     ~sources:

@@ -76,12 +76,10 @@ val run :
 
     [fault_plan] adds crashes, crash–recovery, stalls, and spurious
     CAS failures; crash-only schedules use
-    {!Sched.Fault_plan.of_crash_plan} (the legacy [crash_plan]
-    argument is gone — a crash-only fault plan is byte-identical to
-    the old path).  The step budget is stretched to cover restart
-    re-runs, stall windows, and bounded retry chains, so fault runs
-    with a [Round_robin] tail still drive every surviving process to
-    completion. *)
+    {!Sched.Fault_plan.of_crash_events}.  The step budget is stretched
+    to cover restart re-runs, stall windows, and bounded retry chains,
+    so fault runs with a [Round_robin] tail still drive every surviving
+    process to completion. *)
 
 val verdict_of : ?gates:gates -> Scu.Checkable.instance -> verdict
 (** Judge an instance in whatever state its run left it: the completed

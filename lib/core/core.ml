@@ -5,7 +5,7 @@
     Paper-to-module map:
 
     - Definition 1 (stochastic scheduler): {!Sched.Scheduler},
-      {!Sched.Validity}, crash conditions in {!Sched.Crash_plan}.
+      {!Sched.Validity}, crash conditions in {!Sched.Fault_plan}.
     - §2.1 step semantics: {!Sim.Program}, {!Sim.Executor},
       {!Sim.Memory}.
     - §2.4 latency measures: {!Sim.Metrics}.

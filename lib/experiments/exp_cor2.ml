@@ -15,8 +15,8 @@ let plan { Plan.quick; seed } =
   let cell_of (n, k) =
     Plan.cell (Printf.sprintf "n=%d,k=%d" n k) (fun () ->
         let fault_plan =
-          Sched.Fault_plan.of_crash_plan
-            (Sched.Crash_plan.of_list (List.init (n - k) (fun i -> (0, k + i))))
+          Sched.Fault_plan.of_crash_events
+            (List.init (n - k) (fun i -> (0, k + i)))
         in
         let c1 = Scu.Counter.make ~n in
         let m1 = Runs.spec_metrics ~seed:(seed + 91) ~fault_plan ~n ~steps c1.spec in

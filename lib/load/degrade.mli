@@ -2,7 +2,7 @@
     allowed to cost.
 
     {!run} executes a matched pair — the given config fault-free and
-    policy-free (the exact historical path) versus the same config
+    policy-free versus the same config
     under a {!Sched.Fault_plan.tier_rates} tier plus its policy — and
     gates throughput loss, p99/p999 latency inflation and drop rate
     against the tier's budgets.  Both legs are pure functions of the

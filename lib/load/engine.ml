@@ -137,11 +137,10 @@ let stopped_shards r =
     r.shards
 
 (* One queued request.  [kind] indexes the config's kind list; every
-   random draw it embodies came from its own (seed, client, k) RNG, so
-   the record is the same whichever simulation path built it.  [rid]
-   is the shard-local request id; [attempt] and [dup] only matter to
-   the fault-tolerant path (dup 0 = original arrival, 1 = retry or
-   crash redelivery, 2 = hedged duplicate). *)
+   random draw it embodies came from its own (seed, client, k) RNG.
+   [born] is the original arrival, which latency is measured from;
+   [attempt] counts retries, and [dup] is 0 for the original arrival,
+   1 for a retry or crash redelivery, 2 for a hedged duplicate. *)
 type req = {
   client : int;
   k : int;
@@ -149,7 +148,7 @@ type req = {
   key : int;
   push : bool;
   arrival : int;
-  rid : int;
+  born : int;
   attempt : int;
   dup : int;
 }
@@ -300,376 +299,298 @@ let run_shard cfg ~shard =
       service;
       queue_wait;
       per_kind = List.mapi (fun i k -> (k, per_kind.(i))) cfg.kinds;
-      outcomes =
-        { Policy.zero_counts with ok = requests; dropped = total - requests };
+      outcomes = { Policy.zero_counts with dropped = total - requests };
       restarts = 0;
       spurious_cas = 0;
     }
   in
   if total = 0 then empty_result ~steps:0 ~stopped_early:false
-  else begin
-    let robust = is_robust cfg in
-    let plan = if robust then shard_plan cfg ~shard ~total else Fault_plan.none in
-    if robust && outage_plan ~workers:cfg.workers plan then
+  else
+    let plan = shard_plan cfg ~shard ~total in
+    if outage_plan ~workers:cfg.workers plan then
       (* Total outage: nothing can ever serve.  Degrade without
          simulating — every offered request is dropped. *)
-      {
-        (empty_result ~steps:0 ~stopped_early:true) with
-        outcomes = { Policy.zero_counts with dropped = total };
-      }
+      empty_result ~steps:0 ~stopped_early:true
     else begin
-    let memory = Memory.create ~capacity:4096 () in
-    let objsets =
-      Array.map (build_objset memory ~workers:cfg.workers ~objects:cfg.objects)
-        kinds
-    in
-    let cdf = Workload.zipf_cdf ~alpha:cfg.alpha ~n:cfg.objects in
-    let pol = cfg.policy in
-    (* Fault-tolerant bookkeeping, allocated only when active. *)
-    let status = if robust then Bytes.make total '\000' else Bytes.empty in
-    let attempt_cur = if robust then Array.make total 0 else [||] in
-    let first_arrival = if robust then Array.make total 0 else [||] in
-    let hedged =
-      if robust && pol.hedge_after <> None then Array.make total false else [||]
-    in
-    let resolved = ref 0 in
-    let ok_c = ref 0 in
-    let retried_c = ref 0 in
-    let retries_c = ref 0 in
-    let redelivered_c = ref 0 in
-    let hedges_c = ref 0 in
-    let timedout_c = ref 0 in
-    let dummy =
-      {
-        client = -1;
-        k = -1;
-        kind = 0;
-        key = 0;
-        push = false;
-        arrival = 0;
-        rid = -1;
-        attempt = 0;
-        dup = 0;
-      }
-    in
-    let req_store = if robust then Array.make total dummy else [||] in
-    let make_req ~client ~k ~base =
-      let rng = Workload.request_rng ~seed:cfg.seed ~client ~k in
-      let g = Workload.gap cfg.mode rng ~k in
-      let u = Stats.Rng.float rng 1.0 in
-      let push = Stats.Rng.bool rng in
-      let rid = ((client / cfg.shards) * cfg.ops_per_client) + k in
-      let r =
+      let memory = Memory.create ~capacity:4096 () in
+      let objsets =
+        Array.map (build_objset memory ~workers:cfg.workers ~objects:cfg.objects)
+          kinds
+      in
+      let cdf = Workload.zipf_cdf ~alpha:cfg.alpha ~n:cfg.objects in
+      let pol = cfg.policy in
+      (* Per-request state, indexed by the shard-local request id: the
+         live attempt, or -1 once the request has resolved. *)
+      let state = Array.make total 0 in
+      let rid r = ((r.client / cfg.shards) * cfg.ops_per_client) + r.k in
+      let hedged =
+        if pol.hedge_after <> None then Array.make total false else [||]
+      in
+      let resolved = ref 0 in
+      let ok_c = ref 0 in
+      let retried_c = ref 0 in
+      let retries_c = ref 0 in
+      let redelivered_c = ref 0 in
+      let hedges_c = ref 0 in
+      let timedout_c = ref 0 in
+      let dummy =
+        {
+          client = -1;
+          k = -1;
+          kind = 0;
+          key = 0;
+          push = false;
+          arrival = 0;
+          born = 0;
+          attempt = 0;
+          dup = 0;
+        }
+      in
+      let make_req ~client ~k ~base =
+        let rng = Workload.request_rng ~seed:cfg.seed ~client ~k in
+        let g = Workload.gap cfg.mode rng ~k in
+        let u = Stats.Rng.float rng 1.0 in
+        let push = Stats.Rng.bool rng in
+        let arrival = base + g in
         {
           client;
           k;
           kind = client / cfg.shards mod nkinds;
           key = Workload.pick cdf u;
           push;
-          arrival = base + g;
-          rid;
+          arrival;
+          born = arrival;
           attempt = 0;
           dup = 0;
         }
       in
-      if robust then begin
-        req_store.(rid) <- r;
-        first_arrival.(rid) <- r.arrival
-      end;
-      r
-    in
-    let pending = Rheap.create dummy in
-    for i = 0 to nclients - 1 do
-      let client = shard + (i * cfg.shards) in
-      Rheap.push pending (make_req ~client ~k:0 ~base:0)
-    done;
-    let ready : req Queue.t = Queue.create () in
-    let max_depth = ref 0 in
-    let served = ref 0 in
-    let vref = ref 0 in
-    let next_value () =
-      incr vref;
-      !vref
-    in
-    let is_open = match cfg.mode with Workload.Open _ -> true | _ -> false in
-    let schedule_next ~base r =
-      if r.k + 1 < cfg.ops_per_client then
-        Rheap.push pending (make_req ~client:r.client ~k:(r.k + 1) ~base)
-    in
-    (* Deadline watch: FIFO of (rid, attempt, absolute deadline).
-       Entries are appended in drain order — non-decreasing arrival
-       times plus a constant deadline — so the queue is sorted and the
-       scan only ever inspects its head. *)
-    let watch : (int * int * int) Queue.t = Queue.create () in
-    let drain now =
-      let continue = ref true in
-      while !continue do
-        match Rheap.peek pending with
-        | Some r when r.arrival <= now ->
-            ignore (Rheap.pop pending);
-            (* Open loop: the successor's arrival is independent of
-               service, so it is scheduled as soon as this request
-               reaches the queue (originals only — retries, hedges and
-               redeliveries have no successor of their own). *)
-            if is_open && r.dup = 0 && r.attempt = 0 then
-              schedule_next ~base:r.arrival r;
-            (match pol.deadline with
-            | Some d when r.dup < 2 ->
-                Queue.add (r.rid, r.attempt, r.arrival + d) watch
-            | _ -> ());
-            Queue.add r ready;
-            if Queue.length ready > !max_depth then
-              max_depth := Queue.length ready
-        | _ -> continue := false
-      done
-    in
-    let resolve_failure ~now rid =
-      Bytes.set status rid '\002';
-      incr timedout_c;
-      incr resolved;
-      if not is_open then schedule_next ~base:now req_store.(rid);
-      Program.complete ()
-    in
-    (* Expired deadlines: retry with seeded backoff while budget
-       remains, else resolve the request as timed out.  Runs inside
-       whichever worker is scheduled, costs no simulated step. *)
-    let rec scan now =
-      match Queue.peek_opt watch with
-      | Some (rid, att, dl) when dl <= now ->
-          ignore (Queue.pop watch);
-          if Bytes.get status rid = '\000' && attempt_cur.(rid) = att then begin
-            if att < pol.max_retries then begin
-              attempt_cur.(rid) <- att + 1;
-              incr retries_c;
-              let b = Policy.backoff pol ~seed:cfg.seed ~rid ~attempt:(att + 1) in
-              Rheap.push pending
-                {
-                  req_store.(rid) with
-                  arrival = now + b;
-                  attempt = att + 1;
-                  dup = 1;
-                }
-            end
-            else resolve_failure ~now rid
-          end;
-          scan now
-      | _ -> ()
-    in
-    (* Per-worker dispatch slots: which request (and attempt) each
-       worker currently holds, and since when.  Host-level state — a
-       crash drops the worker's continuation but not this record, which
-       is exactly what redelivery needs. *)
-    let inflight_rid = Array.make cfg.workers (-1) in
-    let inflight_attempt = Array.make cfg.workers 0 in
-    let inflight_since = Array.make cfg.workers 0 in
-    (* Hedging: a request in flight for [h] steps without completing
-       gets one duplicate dispatch — including around a crashed or
-       stalled worker, which is the production use case. *)
-    let hedge_scan h now =
-      for w = 0 to cfg.workers - 1 do
-        let rid = inflight_rid.(w) in
-        if
-          rid >= 0
-          && Bytes.get status rid = '\000'
-          && inflight_attempt.(w) = attempt_cur.(rid)
-          && (not hedged.(rid))
-          && now - inflight_since.(w) >= h
-        then begin
-          hedged.(rid) <- true;
-          incr hedges_c;
-          Rheap.push pending
-            {
-              req_store.(rid) with
-              arrival = now;
-              attempt = attempt_cur.(rid);
-              dup = 2;
-            }
-        end
-      done
-    in
-    (* The step after which each worker is crashed for good under
-       [plan] (max_int if it always restarts or never crashes).  The
-       plan is engine-side data, so the load generator gets a perfect
-       failure detector: requests held by a permanently dead worker are
-       redelivered instead of waiting on a restart that never comes —
-       this is what keeps the [Completions] stop reachable for
-       faults-only runs with no deadline policy. *)
-    let dead_after =
-      let d = Array.make cfg.workers max_int in
-      Array.iter
-        (fun (time, e) ->
-          match e with
-          | Fault_plan.Crash p -> if p >= 0 && p < cfg.workers then d.(p) <- time
-          | Fault_plan.Restart p ->
-              if p >= 0 && p < cfg.workers then d.(p) <- max_int
-          | Fault_plan.Stall _ -> ())
-        (Fault_plan.events plan);
-      d
-    in
-    let redeliver ~now ~w =
-      let rid = inflight_rid.(w) in
-      inflight_rid.(w) <- -1;
-      if
-        rid >= 0
-        && Bytes.get status rid = '\000'
-        && attempt_cur.(rid) = inflight_attempt.(w)
-      then begin
-        incr redelivered_c;
-        Rheap.push pending
-          {
-            req_store.(rid) with
-            arrival = now;
-            attempt = inflight_attempt.(w);
-            dup = 1;
-          }
-      end
-    in
-    let rescue now =
-      for w = 0 to cfg.workers - 1 do
-        if inflight_rid.(w) >= 0 && now >= dead_after.(w) then
-          redeliver ~now ~w
-      done
-    in
-    let exec_request (ctx : Program.ctx) r =
-      match objsets.(r.kind) with
-      | OCounter regs -> ignore (Scu.Counter.fetch_and_increment regs.(r.key))
-      | OTreiber tops ->
-          if r.push then
-            Scu.Treiber.push_op ~memory ~top:tops.(r.key) (next_value ())
-          else ignore (Scu.Treiber.pop_op ~top:tops.(r.key))
-      | OMsqueue hts ->
-          let head, tail = hts.(r.key) in
-          if r.push then Scu.Msqueue.enqueue_op ~memory ~tail (next_value ())
-          else ignore (Scu.Msqueue.dequeue_op ~head ~tail)
-      | OElim e ->
-          if r.push then
-            Scu.Elimination_stack.push_op ~memory ~top:e.tops.(r.key)
-              ~slots:e.slotss.(r.key) ~poll:2 ctx (next_value ())
-          else
-            ignore
-              (Scu.Elimination_stack.pop_op ~top:e.tops.(r.key)
-                 ~slots:e.slotss.(r.key) ~eliminated:e.elims.(r.key) ctx)
-      | OWf w ->
-          let sq = w.seqs.(r.key) in
-          sq.(ctx.id) <- sq.(ctx.id) + 1;
-          Scu.Waitfree_counter.incr_op ~memory ~pointer:w.ptrs.(r.key)
-            ~announce:w.anns.(r.key) ~n:ctx.n ~id:ctx.id ~seq:sq.(ctx.id)
-    in
-    (* The historical fault-free program: byte-identical step sequence
-       to every release since the service landed. *)
-    let program_plain (ctx : Program.ctx) =
-      let rec loop () =
-        if !served < total then begin
-          let now = Program.now () in
-          drain now;
-          match Queue.take_opt ready with
-          | None ->
-              (* Nothing dispatchable: burn one step polling so time
-                 advances towards the next arrival. *)
-              Program.yield_noop ();
-              loop ()
-          | Some r ->
-              let dispatch = now in
-              exec_request ctx r;
-              let fin = Program.now () in
-              Hdr.add latency (fin - r.arrival);
-              Hdr.add service (fin - dispatch);
-              Hdr.add queue_wait (dispatch - r.arrival);
-              Hdr.add per_kind.(r.kind) (fin - r.arrival);
-              incr served;
-              if not is_open then schedule_next ~base:fin r;
-              Program.complete ();
-              loop ()
-        end
+      let pending = Rheap.create dummy in
+      for i = 0 to nclients - 1 do
+        let client = shard + (i * cfg.shards) in
+        Rheap.push pending (make_req ~client ~k:0 ~base:0)
+      done;
+      let ready : req Queue.t = Queue.create () in
+      let max_depth = ref 0 in
+      let vref = ref 0 in
+      let next_value () =
+        incr vref;
+        !vref
       in
-      loop ()
-    in
-    (* The fault-tolerant program.  Same dispatch loop, plus: crash
-       redelivery on re-entry, the deadline and hedge scans, stale
-       ready entries discarded without burning a step, and duplicate
-       completions (hedge losers, late redelivered copies) resolved
-       at-least-once — the first finisher wins.  [Program.complete]
-       fires exactly once per resolution (success or final timeout),
-       so [Completions total] still means "every request resolved". *)
-    let program_robust (ctx : Program.ctx) =
-      (* A restarted worker re-enters here with a fresh body; whatever
-         request it held when it crashed is redelivered (same attempt —
-         a crash consumes no retry budget). *)
-      if inflight_rid.(ctx.id) >= 0 then
-        redeliver ~now:(Program.now ()) ~w:ctx.id;
-      let rec take_ready () =
-        match Queue.take_opt ready with
-        | None -> None
-        | Some r ->
-            if Bytes.get status r.rid <> '\000' || attempt_cur.(r.rid) <> r.attempt
-            then take_ready () (* stale: superseded or already resolved *)
-            else Some r
+      let is_open = match cfg.mode with Workload.Open _ -> true | _ -> false in
+      let schedule_next ~base r =
+        if r.k + 1 < cfg.ops_per_client then
+          Rheap.push pending (make_req ~client:r.client ~k:(r.k + 1) ~base)
       in
-      let rec loop () =
-        if !resolved < total then begin
-          let now = Program.now () in
-          if pol.deadline <> None then scan now;
-          (match pol.hedge_after with
-          | Some h -> hedge_scan h now
-          | None -> ());
-          drain now;
-          match take_ready () with
-          | None ->
-              rescue now;
-              Program.yield_noop ();
-              loop ()
-          | Some r ->
-              let dispatch = now in
-              inflight_rid.(ctx.id) <- r.rid;
-              inflight_attempt.(ctx.id) <- r.attempt;
-              inflight_since.(ctx.id) <- dispatch;
-              exec_request ctx r;
-              let fin = Program.now () in
-              inflight_rid.(ctx.id) <- -1;
-              if Bytes.get status r.rid = '\000' then begin
-                Bytes.set status r.rid '\001';
+      (* Deadline watch: FIFO of watched attempts, each due at its
+         arrival plus the constant deadline.  Entries are appended in
+         drain order — non-decreasing arrival times — so the queue is
+         sorted and the scan only ever inspects its head. *)
+      let watch : req Queue.t = Queue.create () in
+      let drain now =
+        let continue = ref true in
+        while !continue do
+          match Rheap.peek pending with
+          | Some r when r.arrival <= now ->
+              ignore (Rheap.pop pending);
+              (* Open loop: the successor's arrival is independent of
+                 service, so it is scheduled as soon as this request
+                 reaches the queue (originals only — retries, hedges and
+                 redeliveries have no successor of their own). *)
+              if is_open && r.dup = 0 && r.attempt = 0 then
+                schedule_next ~base:r.arrival r;
+              (match pol.deadline with
+              | Some _ when r.dup < 2 -> Queue.add r watch
+              | _ -> ());
+              Queue.add r ready;
+              if Queue.length ready > !max_depth then
+                max_depth := Queue.length ready
+          | _ -> continue := false
+        done
+      in
+      (* Expired deadlines: retry with seeded backoff while budget
+         remains, else resolve the request as timed out.  Runs inside
+         whichever worker is scheduled, costs no simulated step. *)
+      let rec scan d now =
+        match Queue.peek_opt watch with
+        | Some r when r.arrival + d <= now ->
+            ignore (Queue.pop watch);
+            let id = rid r in
+            if state.(id) = r.attempt then begin
+              if r.attempt < pol.max_retries then begin
+                let attempt = r.attempt + 1 in
+                state.(id) <- attempt;
+                incr retries_c;
+                let b = Policy.backoff pol ~seed:cfg.seed ~rid:id ~attempt in
+                Rheap.push pending { r with arrival = now + b; attempt; dup = 1 }
+              end
+              else begin
+                state.(id) <- -1;
+                incr timedout_c;
                 incr resolved;
-                if attempt_cur.(r.rid) > 0 then incr retried_c else incr ok_c;
-                let born = first_arrival.(r.rid) in
-                Hdr.add latency (fin - born);
-                Hdr.add service (fin - dispatch);
-                Hdr.add queue_wait (dispatch - r.arrival);
-                Hdr.add per_kind.(r.kind) (fin - born);
-                if not is_open then schedule_next ~base:fin req_store.(r.rid);
+                if not is_open then schedule_next ~base:now r;
                 Program.complete ()
-              end;
-              loop ()
+              end
+            end;
+            scan d now
+        | _ -> ()
+      in
+      (* Per-worker dispatch slots: which request attempt each worker
+         currently holds ([dummy] when none), and since when.  Host-level
+         state — a crash drops the worker's continuation but not this
+         record, which is exactly what redelivery needs. *)
+      let inflight = Array.make cfg.workers dummy in
+      let inflight_since = Array.make cfg.workers 0 in
+      (* Hedging: a request in flight for [h] steps without completing
+         gets one duplicate dispatch — including around a crashed or
+         stalled worker, which is the production use case. *)
+      let hedge_scan h now =
+        for w = 0 to cfg.workers - 1 do
+          let r = inflight.(w) in
+          if r != dummy && now - inflight_since.(w) >= h then begin
+            let id = rid r in
+            if state.(id) = r.attempt && not hedged.(id) then begin
+              hedged.(id) <- true;
+              incr hedges_c;
+              Rheap.push pending { r with arrival = now; dup = 2 }
+            end
+          end
+        done
+      in
+      (* The step after which each worker is crashed for good under
+         [plan] (max_int if it always restarts or never crashes).  The
+         plan is engine-side data, so the load generator gets a perfect
+         failure detector: requests held by a permanently dead worker are
+         redelivered instead of waiting on a restart that never comes —
+         this is what keeps the [Completions] stop reachable for
+         faults-only runs with no deadline policy. *)
+      let dead_after =
+        let d = Array.make cfg.workers max_int in
+        Array.iter
+          (fun (time, e) ->
+            match e with
+            | Fault_plan.Crash p ->
+                if p >= 0 && p < cfg.workers then d.(p) <- time
+            | Fault_plan.Restart p ->
+                if p >= 0 && p < cfg.workers then d.(p) <- max_int
+            | Fault_plan.Stall _ -> ())
+          (Fault_plan.events plan);
+        d
+      in
+      (* Same attempt — a crash consumes no retry budget. *)
+      let redeliver ~now ~w =
+        let r = inflight.(w) in
+        inflight.(w) <- dummy;
+        if r != dummy && state.(rid r) = r.attempt then begin
+          incr redelivered_c;
+          Rheap.push pending { r with arrival = now; dup = 1 }
         end
       in
-      loop ()
-    in
-    let program = if robust then program_robust else program_plain in
-    let spec = { Sim.Executor.name = "load-shard"; memory; program } in
-    let exec_config =
-      let base =
+      let rescue now =
+        for w = 0 to cfg.workers - 1 do
+          if inflight.(w) != dummy && now >= dead_after.(w) then
+            redeliver ~now ~w
+        done
+      in
+      let exec_request (ctx : Program.ctx) r =
+        match objsets.(r.kind) with
+        | OCounter regs -> ignore (Scu.Counter.fetch_and_increment regs.(r.key))
+        | OTreiber tops ->
+            if r.push then
+              Scu.Treiber.push_op ~memory ~top:tops.(r.key) (next_value ())
+            else ignore (Scu.Treiber.pop_op ~top:tops.(r.key))
+        | OMsqueue hts ->
+            let head, tail = hts.(r.key) in
+            if r.push then Scu.Msqueue.enqueue_op ~memory ~tail (next_value ())
+            else ignore (Scu.Msqueue.dequeue_op ~head ~tail)
+        | OElim e ->
+            if r.push then
+              Scu.Elimination_stack.push_op ~memory ~top:e.tops.(r.key)
+                ~slots:e.slotss.(r.key) ~poll:2 ctx (next_value ())
+            else
+              ignore
+                (Scu.Elimination_stack.pop_op ~top:e.tops.(r.key)
+                   ~slots:e.slotss.(r.key) ~eliminated:e.elims.(r.key) ctx)
+        | OWf w ->
+            let sq = w.seqs.(r.key) in
+            sq.(ctx.id) <- sq.(ctx.id) + 1;
+            Scu.Waitfree_counter.incr_op ~memory ~pointer:w.ptrs.(r.key)
+              ~announce:w.anns.(r.key) ~n:ctx.n ~id:ctx.id ~seq:sq.(ctx.id)
+      in
+      (* The dispatch loop: crash redelivery on re-entry, the deadline
+         and hedge scans, stale ready entries discarded without burning a
+         step, and duplicate completions (hedge losers, late redelivered
+         copies) resolved at-least-once — the first finisher wins.
+         [Program.complete] fires exactly once per resolution (success or
+         final timeout), so [Completions total] means "every request
+         resolved".  None of the fault-tolerant additions costs a
+         simulated step or draws randomness, so a run without faults or
+         policy takes exactly the steps of a plain dispatch loop. *)
+      let program (ctx : Program.ctx) =
+        (* A restarted worker re-enters here with a fresh body; whatever
+           request it held when it crashed is redelivered. *)
+        if inflight.(ctx.id) != dummy then
+          redeliver ~now:(Program.now ()) ~w:ctx.id;
+        let rec take_ready () =
+          match Queue.take_opt ready with
+          | Some r when state.(rid r) <> r.attempt ->
+              take_ready () (* stale: superseded or already resolved *)
+          | next -> next
+        in
+        let rec loop () =
+          if !resolved < total then begin
+            let now = Program.now () in
+            (match pol.deadline with Some d -> scan d now | None -> ());
+            (match pol.hedge_after with Some h -> hedge_scan h now | None -> ());
+            drain now;
+            match take_ready () with
+            | None ->
+                (* Nothing dispatchable: burn one step polling so time
+                   advances towards the next arrival. *)
+                rescue now;
+                Program.yield_noop ();
+                loop ()
+            | Some r ->
+                let dispatch = now in
+                inflight.(ctx.id) <- r;
+                inflight_since.(ctx.id) <- dispatch;
+                exec_request ctx r;
+                let fin = Program.now () in
+                inflight.(ctx.id) <- dummy;
+                let id = rid r in
+                let attempt = state.(id) in
+                if attempt >= 0 then begin
+                  state.(id) <- -1;
+                  incr resolved;
+                  if attempt > 0 then incr retried_c else incr ok_c;
+                  Hdr.add latency (fin - r.born);
+                  Hdr.add service (fin - dispatch);
+                  Hdr.add queue_wait (dispatch - r.arrival);
+                  Hdr.add per_kind.(r.kind) (fin - r.born);
+                  if not is_open then schedule_next ~base:fin r;
+                  Program.complete ()
+                end;
+                loop ()
+          end
+        in
+        loop ()
+      in
+      let spec = { Sim.Executor.name = "load-shard"; memory; program } in
+      let exec_config =
         Sim.Executor.Config.(
           default
           |> with_seed (Workload.mix cfg.seed (shard + 0x10AD))
-          |> with_max_steps cfg.max_steps)
+          |> with_max_steps cfg.max_steps
+          |> with_faults plan)
       in
-      if robust then Sim.Executor.Config.with_faults plan base else base
-    in
-    let r =
-      Sim.Executor.exec ~config:exec_config ~scheduler:Sched.Scheduler.uniform
-        ~n:cfg.workers ~stop:(Completions total) spec
-    in
-    let base_res =
+      let r =
+        Sim.Executor.exec ~config:exec_config ~scheduler:Sched.Scheduler.uniform
+          ~n:cfg.workers ~stop:(Completions total) spec
+      in
       {
         (empty_result ~steps:(Sim.Metrics.time r.metrics)
            ~stopped_early:r.stopped_early)
         with
         max_queue_depth = !max_depth;
-      }
-    in
-    if not robust then base_res
-    else
-      {
-        base_res with
         outcomes =
           {
             Policy.ok = !ok_c;
@@ -684,7 +605,6 @@ let run_shard cfg ~shard =
         spurious_cas = r.spurious_cas;
       }
     end
-  end
 
 let merge_shards cfg (shards : shard_result list) =
   let latency = Hdr.create () in

@@ -23,9 +23,11 @@
     redelivered on restart (or rescued outright once the plan shows
     the worker is permanently dead), and every offered request
     resolves to exactly one {!Policy.outcome}.  All of it is a pure
-    function of the config — same seed, same bytes — and a config with
-    no faults and an inert policy runs the exact historical program,
-    byte-identical to a build without this layer.  A base plan that
+    function of the config — same seed, same bytes.  Every shard runs
+    the same dispatch loop; its fault-tolerant bookkeeping costs no
+    simulated step and draws no randomness, so a config with no faults
+    and an inert policy takes exactly the steps a plain dispatch loop
+    would.  A base plan that
     permanently crashes every worker (a total outage) is accepted:
     each shard degrades to an all-dropped, stopped-early result
     instead of running. *)
@@ -65,9 +67,10 @@ val default : config
 val no_faults : Sched.Fault_plan.spec
 
 val is_robust : config -> bool
-(** True when the config has faults or an active policy — i.e. the
-    run takes the fault-tolerant dispatch path rather than the
-    historical byte-identical one. *)
+(** True when the config has faults or an active policy.  It selects
+    only what a report shows — the schema-2 manifest fields (outcome
+    taxonomy, injected faults, error budget); every config runs the
+    same dispatch loop. *)
 
 val validate : config -> (unit, string) result
 
@@ -91,7 +94,7 @@ type shard_result = {
   per_kind : (kind * Stats.Hdr.t) list;  (** Latency by structure. *)
   outcomes : Policy.counts;
       (** Request-outcome taxonomy; [ok = requests] and all else zero
-          on the fault-free path (minus any [dropped] cut off by
+          without faults or policy (minus any [dropped] cut off by
           [max_steps]). *)
   restarts : int;  (** Worker crash-restarts executed by the plan. *)
   spurious_cas : int;  (** Spuriously failed CAS steps. *)

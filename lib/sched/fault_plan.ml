@@ -1,4 +1,5 @@
-(* Fault schedules: the chaos-layer generalization of {!Crash_plan}.
+(* Fault schedules: Definition 1's crash plans and the chaos layer's
+   extensions of them.
 
    A plan carries a time-sorted list of discrete events (permanent or
    recoverable crashes, restarts, bounded stall windows) plus
@@ -68,8 +69,6 @@ let make ?(spurious = []) events = { events = sort_events events; spurious }
 
 let of_crash_events crashes =
   make (List.map (fun (time, proc) -> (time, Crash proc)) crashes)
-
-let of_crash_plan plan = of_crash_events (Crash_plan.to_list plan)
 
 let merge a b =
   {

@@ -1,9 +1,13 @@
-(** Fault schedules — the chaos layer's generalization of
-    {!Crash_plan}.
+(** Fault schedules.
 
-    Definition 1 of the paper only shrinks the possibly-active set
-    (permanent crashes).  A fault plan adds three deliberate
-    extensions, documented in DESIGN.md ("Fault model"):
+    Definition 1's conditions 3–4: a crashed process has probability 0
+    from its crash time onward, and the possibly-active set only
+    shrinks (A_{τ+1} ⊆ A_τ).  A plan of [Crash] events alone is exactly
+    such a crash schedule: the executor removes each crashed process
+    from the alive set at the start of its crash step, which satisfies
+    both conditions, and {!validate} enforces the paper's survivor.  A
+    fault plan adds three deliberate extensions, documented in
+    DESIGN.md ("Fault model"):
 
     - {b crash–recovery}: a [Restart] event revives a crashed process
       with a fresh program body while the shared memory keeps whatever
@@ -12,11 +16,7 @@
       unschedulable during [[t, t+d)] without crashing it;
     - {b spurious CAS failure}: per-process rates at which a CAS (or
       augmented CAS) that would succeed is denied, LL/SC-style, drawn
-      deterministically from the executor's seed.
-
-    A plan containing only [Crash] events is semantically identical to
-    the equivalent {!Crash_plan} — the executor guarantees the two
-    paths produce byte-identical runs. *)
+      deterministically from the executor's seed. *)
 
 type event =
   | Crash of int  (** Process stops taking steps at the event time. *)
@@ -73,7 +73,9 @@ val make : ?spurious:(int option * float) list -> (int * event) list -> t
     [(Some proc | None (= every process), rate)]. *)
 
 val of_crash_events : (int * int) list -> t
-val of_crash_plan : Crash_plan.t -> t
+(** [(time, proc)] crash events in any order (same-time events keep
+    their order).  A second crash of an already-crashed process is a
+    no-op, so only each process's earliest crash matters. *)
 
 val merge : t -> t -> t
 (** Union of events (stable by time) and spurious entries; overlapping

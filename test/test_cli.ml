@@ -329,7 +329,19 @@ let test_check_crash_validation () =
       in
       Alcotest.(check bool) "all-crash: nonzero exit" true (code <> 0);
       Alcotest.(check bool) "all-crash named" true
-        (contains err "all processes would crash"))
+        (contains err "all processes would crash");
+      (* A negative crash time used to run silently. *)
+      let code, out, err =
+        run dir
+          "check --structures cas-counter -n 2 --ops 2 --replay 0,1 --crash=-7:1"
+      in
+      Alcotest.(check int) "negative time: usage error" 124 code;
+      Alcotest.(check string) "negative time: nothing ran" "" out;
+      Alcotest.(check bool)
+        ("negative time: one-line error (stderr: " ^ err ^ ")")
+        true
+        (contains err "--crash: fault plan: process or time out of range"
+        && not (contains err "Raised at")))
 
 let test_load_bad_ns_rejected () =
   (* Regression: a typo in --ns used to be parsed to the empty list,
@@ -461,6 +473,37 @@ let golden_cases =
        --no-progress"
       0;
   ]
+
+(* The fault-tolerant dispatch path pinned the same way: stdout plus
+   the --out manifest of each run, concatenated.  The runs cover
+   retries, hedges, crash redelivery (faults only, at -j 2) and
+   timeouts, so any drift in the per-request bookkeeping shows here. *)
+let faulted_golden_runs =
+  [
+    "load --structures treiber,msqueue,elimination-stack --clients 10000 \
+     --ops 10 --mode open --rate 1.2e-4 --faults standard --deadline 400 \
+     --retries 2 --hedge 150 --seed 0 --no-progress";
+    "load --structures counter,treiber,msqueue --clients 3000 --ops 2 \
+     --workers 4 --shards 4 --faults chaos --seed 0 --no-progress -j 2";
+    "load --structures counter,treiber,elimination-stack --clients 2000 --ops \
+     3 --workers 4 --shards 2 --mode open --rate 5e-4 --faults chaos \
+     --deadline 150 --retries 2 --hedge 40 --seed 0 --no-progress";
+  ]
+
+let test_load_faulted_golden () =
+  with_scratch_dir (fun dir ->
+      let transcript = Buffer.create 16384 in
+      List.iter
+        (fun args ->
+          let code, out, err = run dir (args ^ " --out m.json") in
+          Alcotest.(check int) (args ^ " exit code; stderr: " ^ err) 0 code;
+          Printf.bprintf transcript "$ repro %s\n%s--- manifest\n%s" args out
+            (read_file (Filename.concat dir "m.json")))
+        faulted_golden_runs;
+      Alcotest.(check string)
+        "faulted load stdout and manifests byte-identical"
+        (golden "load-faulted-seed0.txt")
+        (normalize_times (Buffer.contents transcript)))
 
 (* -- repro load: faults and policies ---------------------------------- *)
 
@@ -712,6 +755,8 @@ let () =
         [
           Alcotest.test_case "faulted run deterministic" `Quick
             test_load_faulted_deterministic;
+          Alcotest.test_case "faulted runs match golden" `Quick
+            test_load_faulted_golden;
           Alcotest.test_case "outage drill exits 1" `Quick
             test_load_outage_drill;
           Alcotest.test_case "policy flags validated" `Quick

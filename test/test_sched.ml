@@ -1,5 +1,5 @@
 (* Tests for the scheduler zoo: Definition 1 conditions, the Figure
-   3/4 trace statistics, and crash plans. *)
+   3/4 trace statistics, and fault plans. *)
 
 open Core
 
@@ -232,27 +232,6 @@ let test_trace_max_gap () =
   (* p2's last step is at index 3; the trailing gap 4..6 has length 3. *)
   Alcotest.(check int) "gap p2" 3 (Sched.Trace.max_gap t ~proc:2)
 
-(* -- Crash plans ---------------------------------------------------- *)
-
-let test_crash_plan_dedup () =
-  let p = Sched.Crash_plan.of_list [ (10, 1); (5, 1); (7, 2) ] in
-  Alcotest.(check int) "count" 2 (Sched.Crash_plan.count p);
-  Alcotest.(check (list int)) "p1 crashes at its earliest time" [ 1 ]
-    (Sched.Crash_plan.crashes_at p ~time:5);
-  Alcotest.(check (list int)) "crashed_by 7" [ 1; 2 ]
-    (List.sort compare (Sched.Crash_plan.crashed_by p ~time:7))
-
-let test_crash_plan_validation () =
-  (match Sched.Crash_plan.validate ~n:3 (Sched.Crash_plan.of_list [ (1, 0); (2, 1) ]) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "n-1 crashes should be fine: %s" e);
-  (match Sched.Crash_plan.validate ~n:2 (Sched.Crash_plan.of_list [ (1, 0); (2, 1) ]) with
-  | Ok () -> Alcotest.fail "all-crash should be rejected"
-  | Error _ -> ());
-  match Sched.Crash_plan.validate ~n:2 (Sched.Crash_plan.of_list [ (1, 5) ]) with
-  | Ok () -> Alcotest.fail "out-of-range process"
-  | Error _ -> ()
-
 (* -- Fault plans (chaos layer) -------------------------------------- *)
 
 module FP = Sched.Fault_plan
@@ -301,8 +280,12 @@ let test_fault_plan_validation () =
           (FP.make [ (0, FP.Crash 0); (0, FP.Crash 1); (5, FP.Restart 1) ])));
   Alcotest.(check bool) "permanent all-crash rejected" false
     (ok (FP.validate ~n:2 (FP.make [ (0, FP.Crash 0); (0, FP.Crash 1) ])));
+  Alcotest.(check bool) "n-1 permanent crashes are fine" true
+    (ok (FP.validate ~n:3 (FP.of_crash_events [ (1, 0); (2, 1) ])));
   Alcotest.(check bool) "process out of range rejected" false
     (ok (FP.validate ~n:2 (FP.make [ (0, FP.Crash 7) ])));
+  Alcotest.(check bool) "negative time rejected" false
+    (ok (FP.validate ~n:2 (FP.of_crash_events [ (-7, 1) ])));
   Alcotest.(check bool) "negative stall rejected" false
     (ok (FP.validate ~n:2 (FP.make [ (0, FP.Stall (0, -1)) ])));
   Alcotest.(check bool) "spurious rate >= 1 rejected" false
@@ -343,9 +326,9 @@ let test_fault_plan_merge_and_rates () =
   Alcotest.(check (float 1e-9)) "global rate applies to p1" 0.1 rates.(1);
   Alcotest.(check int) "restart count" 1 (FP.restart_count m);
   Alcotest.(check int) "stall total" 5 (FP.stall_total m);
-  Alcotest.(check string) "crash-plan bridge" "crash@1:0,crash@4:2"
-    (FP.to_string
-       (FP.of_crash_plan (Sched.Crash_plan.of_list [ (4, 2); (1, 0) ])))
+  Alcotest.(check string) "crash events print time-sorted"
+    "crash@1:0,crash@4:2"
+    (FP.to_string (FP.of_crash_events [ (4, 2); (1, 0) ]))
 
 (* -- Distribution probes vs stateful schedulers --------------------- *)
 
@@ -440,11 +423,6 @@ let () =
             test_trace_uniform_successors_uniform;
           Alcotest.test_case "run lengths" `Quick test_trace_run_lengths;
           Alcotest.test_case "max gap" `Quick test_trace_max_gap;
-        ] );
-      ( "crash plans",
-        [
-          Alcotest.test_case "dedup earliest" `Quick test_crash_plan_dedup;
-          Alcotest.test_case "validation" `Quick test_crash_plan_validation;
         ] );
       ( "fault plans",
         [

@@ -9,15 +9,12 @@ open Core
 
 let uniform = Sched.Scheduler.uniform
 
-let run ?seed ?crash_plan ?max_steps ~n ~stop spec =
+let run ?seed ?(crashes = []) ?max_steps ~n ~stop spec =
   let open Sim.Executor.Config in
   let config =
     default
     |> with_seed (Option.value seed ~default:default.seed)
-    |> with_faults
-         (match crash_plan with
-         | None -> Sched.Fault_plan.none
-         | Some p -> Sched.Fault_plan.of_crash_plan p)
+    |> with_faults (Sched.Fault_plan.of_crash_events crashes)
     |> with_max_steps (Option.value max_steps ~default:default.max_steps)
   in
   Sim.Executor.exec ~config ~scheduler:uniform ~n ~stop spec
@@ -79,8 +76,8 @@ let test_counter_crash_does_not_block () =
      survivor continues to complete operations. *)
   let n = 4 in
   let c = Scu.Counter.make ~n in
-  let crash_plan = Sched.Crash_plan.of_list [ (100, 0); (200, 1); (300, 2) ] in
-  let r = run ~crash_plan ~n ~stop:(Steps 20_000) c.spec in
+  let crashes = [ (100, 0); (200, 1); (300, 2) ] in
+  let r = run ~crashes ~n ~stop:(Steps 20_000) c.spec in
   Alcotest.(check bool) "survivor progressed" true
     (Sim.Metrics.completions_of r.metrics 3 > 5_000)
 
@@ -655,13 +652,13 @@ let test_ticket_lock_blocks_on_crash () =
      served). *)
   let n = 4 in
   let t = Scu.Ticket_lock.make ~n in
-  let crash_plan = Sched.Crash_plan.of_list [ (10_000, 0) ] in
-  let r = run ~crash_plan ~n ~stop:(Steps 200_000) t.spec in
+  let crashes = [ (10_000, 0) ] in
+  let r = run ~crashes ~n ~stop:(Steps 200_000) t.spec in
   let total = Sim.Metrics.total_completions r.metrics in
   (* A second run truncated at the crash point: afterwards, only a few
      queued operations can still drain. *)
   let t2 = Scu.Ticket_lock.make ~n in
-  let r2 = run ~crash_plan ~n ~stop:(Steps 10_000) t2.spec in
+  let r2 = run ~crashes ~n ~stop:(Steps 10_000) t2.spec in
   let before = Sim.Metrics.total_completions r2.metrics in
   Alcotest.(check bool)
     (Printf.sprintf "halted after crash (%d before, %d total)" before total)

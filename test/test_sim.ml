@@ -161,9 +161,8 @@ let test_crash_removes_process () =
     (Sim.Metrics.completions_of r.metrics 2 > 1_000)
 
 let test_all_crash_rejected () =
-  (* Crash plans reach the executor through Fault_plan.of_crash_plan
-     (the deprecated [run ?crash_plan] wrapper is gone); a plan that
-     permanently kills every process must still be rejected. *)
+  (* A crash plan that permanently kills every process is rejected
+     before the run starts (Definition 1 needs a survivor). *)
   let _, spec = private_counter_spec ~n:2 ~q:1 in
   Alcotest.check_raises "crash plan killing everyone rejected"
     (Invalid_argument
@@ -175,41 +174,34 @@ let test_all_crash_rejected () =
              Sim.Executor.Config.(
                default
                |> with_faults
-                    (Sched.Fault_plan.of_crash_plan
-                       (Sched.Crash_plan.of_list [ (10, 0); (20, 1) ])))
+                    (Sched.Fault_plan.of_crash_events [ (10, 0); (20, 1) ]))
            ~scheduler:Sched.Scheduler.uniform ~n:2 ~stop:(Steps 100) spec))
 
-(* -- Fault plans (chaos layer) ------------------------------------- *)
-
-let test_fault_crash_only_equiv () =
-  (* A crash-only fault plan must be byte-identical to the same events
-     routed through the Crash_plan bridge: same schedule, same
-     metrics, same flags. *)
-  let events = [ (500, 0); (1_500, 2) ] in
-  let run ~use_fault_plan =
+let test_duplicate_crash_noop () =
+  (* A process that is already crashed ignores a later crash event, so
+     only each process's earliest crash matters: same schedule, same
+     completions, same flags as the deduplicated plan. *)
+  let run crashes =
     let c = Scu.Counter.make ~n:4 in
-    let plan =
-      if use_fault_plan then Sched.Fault_plan.of_crash_events events
-      else Sched.Fault_plan.of_crash_plan (Sched.Crash_plan.of_list events)
-    in
     let r =
       Sim.Executor.exec
         ~config:
           Sim.Executor.Config.(
-            default |> with_seed 7 |> with_trace true |> with_faults plan)
+            default |> with_seed 7 |> with_trace true
+            |> with_faults (Sched.Fault_plan.of_crash_events crashes))
         ~scheduler:Sched.Scheduler.uniform ~n:4 ~stop:(Steps 20_000) c.spec
     in
     ( Sim.Metrics.total_completions r.metrics,
-      Sim.Metrics.mean_system_latency r.metrics,
       Sched.Trace.to_array (Option.get r.trace),
       r.crashed )
   in
-  let c1, w1, t1, k1 = run ~use_fault_plan:false in
-  let c2, w2, t2, k2 = run ~use_fault_plan:true in
+  let c1, t1, k1 = run [ (5, 1); (10, 1) ] in
+  let c2, t2, k2 = run [ (5, 1) ] in
   Alcotest.(check int) "same completions" c1 c2;
-  Alcotest.(check (float 0.)) "same latency" w1 w2;
   Alcotest.(check bool) "same schedule" true (t1 = t2);
   Alcotest.(check bool) "same crash flags" true (k1 = k2)
+
+(* -- Fault plans (chaos layer) ------------------------------------- *)
 
 let test_restart_revives_process () =
   let n = 3 in
@@ -323,9 +315,7 @@ let test_choose_none_stops_at_frontier () =
       ~config:
         Sim.Executor.Config.(
           default
-          |> with_faults
-               (Sched.Fault_plan.of_crash_plan
-                  (Sched.Crash_plan.of_list [ (5, 1) ]))
+          |> with_faults (Sched.Fault_plan.of_crash_events [ (5, 1) ])
           |> with_choose (fun ~alive ~time ->
                  if time >= 10 then None
                  else Some (if alive.(1) then time mod 2 else 0)))
@@ -481,9 +471,7 @@ let test_scheduler_cannot_pick_dead () =
       fill = None;
     }
   in
-  let fault_plan =
-    Sched.Fault_plan.of_crash_plan (Sched.Crash_plan.of_list [ (5, 1) ])
-  in
+  let fault_plan = Sched.Fault_plan.of_crash_events [ (5, 1) ] in
   (try
      ignore
        (Sim.Executor.exec
@@ -673,11 +661,11 @@ let () =
         [
           Alcotest.test_case "crash removes process" `Quick test_crash_removes_process;
           Alcotest.test_case "all-crash rejected" `Quick test_all_crash_rejected;
+          Alcotest.test_case "duplicate crash is a no-op" `Quick
+            test_duplicate_crash_noop;
         ] );
       ( "faults",
         [
-          Alcotest.test_case "crash-only plan = crash plan" `Quick
-            test_fault_crash_only_equiv;
           Alcotest.test_case "restart revives" `Quick test_restart_revives_process;
           Alcotest.test_case "stall is temporary" `Quick test_stall_window_is_temporary;
           Alcotest.test_case "all-stalled idles then resumes" `Quick
