@@ -1893,53 +1893,57 @@ let load_cmd =
               ?error_budget result
           in
           print_string (Load.Report.render report);
-          Option.iter
-            (fun file ->
-              Telemetry.Load_report.write ~file report;
-              Printf.eprintf "manifest: %s\n%!" file)
-            out;
-          let gates_failed =
-            match gates with
-            | None -> 0
+          match
+            Option.iter
+              (fun file ->
+                Telemetry.Load_report.write ~file report;
+                Printf.eprintf "manifest: %s\n%!" file)
+              out
+          with
+          | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
+          | () ->
+            let gates_failed =
+              match gates with
+              | None -> 0
+              | Some gs ->
+                  List.length
+                    (List.filter
+                       (fun (g : Check.Conform.gate) -> not g.passed)
+                       gs)
+            in
+            (match gates with
             | Some gs ->
-                List.length
-                  (List.filter
-                     (fun (g : Check.Conform.gate) -> not g.passed)
-                     gs)
-          in
-          (match gates with
-          | Some gs ->
-              Printf.printf "load: %d SLO gate(s), %d failed\n"
-                (List.length gs) gates_failed
-          | None -> ());
-          let degrade_failed =
-            match degrade_gates with
-            | None -> 0
+                Printf.printf "load: %d SLO gate(s), %d failed\n"
+                  (List.length gs) gates_failed
+            | None -> ());
+            let degrade_failed =
+              match degrade_gates with
+              | None -> 0
+              | Some gs ->
+                  List.length
+                    (List.filter
+                       (fun (g : Check.Conform.gate) -> not g.passed)
+                       gs)
+            in
+            (match degrade_gates with
             | Some gs ->
-                List.length
-                  (List.filter
-                     (fun (g : Check.Conform.gate) -> not g.passed)
-                     gs)
-          in
-          (match degrade_gates with
-          | Some gs ->
-              Printf.printf "load: %d degradation gate(s), %d failed\n"
-                (List.length gs) degrade_failed
-          | None -> ());
-          (match Load.Engine.stopped_shards result with
-          | [] -> ()
-          | ids ->
-              Printf.eprintf
-                "load: shard%s %s stopped early at the step budget \
-                 (--max-steps %d)\n\
-                 %!"
-                (if List.length ids = 1 then "" else "s")
-                (String.concat "," (List.map string_of_int ids))
-                cfg.max_steps;
-              exit 1);
-          if degrade_failed > 0 then exit 1;
-          if expect_pass && gates_failed > 0 then exit 1;
-          `Ok ()
+                Printf.printf "load: %d degradation gate(s), %d failed\n"
+                  (List.length gs) degrade_failed
+            | None -> ());
+            (match Load.Engine.stopped_shards result with
+            | [] -> ()
+            | ids ->
+                Printf.eprintf
+                  "load: shard%s %s stopped early at the step budget \
+                   (--max-steps %d)\n\
+                   %!"
+                  (if List.length ids = 1 then "" else "s")
+                  (String.concat "," (List.map string_of_int ids))
+                  cfg.max_steps;
+                exit 1);
+            if degrade_failed > 0 then exit 1;
+            if expect_pass && gates_failed > 0 then exit 1;
+            `Ok ()
         end)
   in
   Cmd.v (Cmd.info "load" ~doc)
@@ -1992,7 +1996,7 @@ let serve_cmd =
         else if not (slo_target > 0. && slo_target < 1.) then
           `Error (false, "--slo-target must be strictly between 0 and 1")
         else begin
-          let oc =
+          match
             Option.map
               (fun file ->
                 (match Filename.dirname file with
@@ -2000,58 +2004,60 @@ let serve_cmd =
                 | dir -> Telemetry.Fsutil.mkdir_p dir);
                 open_out file)
               out
-          in
-          let robust = Load.Engine.is_robust cfg in
-          let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
-          let worst_burn = ref 0. in
-          Pool.with_pool ~size:jobs (fun pool ->
-              for w = 0 to windows - 1 do
-                let t0 = now () in
-                let cfg_w =
-                  { cfg with Load.Engine.seed = Load.Workload.mix seed w }
-                in
-                let result = Load.Engine.run ~pool cfg_w in
-                if not no_progress then
-                  Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!"
-                    w result.requests (now () -. t0);
-                let error_budget =
-                  if robust then begin
-                    let eb =
-                      Load.Report.error_budget ~target:slo_target result
-                    in
-                    (match eb.verdict with
-                    | "ok" -> incr ok_w
-                    | "degraded" -> incr degraded_w
-                    | _ -> incr breached_w);
-                    if eb.burn > !worst_burn then worst_burn := eb.burn;
-                    Some eb
-                  end
-                  else None
-                in
-                let report =
-                  Load.Report.of_result ~window:w ?error_budget result
-                in
-                print_string (Load.Report.render report);
-                Option.iter
-                  (fun oc ->
-                    output_string oc
-                      (Telemetry.Load_report.to_string ~compact:true report);
-                    output_char oc '\n';
-                    flush oc)
-                  oc
-              done);
-          Option.iter close_out oc;
-          Option.iter
-            (fun file -> Printf.eprintf "manifest stream: %s\n%!" file)
-            out;
-          (* Soak verdict, only for runs that can burn budget: window
-             counts by health plus the worst burn rate seen. *)
-          if robust then
-            Printf.printf
-              "serve: %d window(s): ok=%d degraded=%d breached=%d \
-               worst-burn=%.2f\n"
-              windows !ok_w !degraded_w !breached_w !worst_burn;
-          `Ok ()
+          with
+          | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
+          | oc ->
+            let robust = Load.Engine.is_robust cfg in
+            let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
+            let worst_burn = ref 0. in
+            Pool.with_pool ~size:jobs (fun pool ->
+                for w = 0 to windows - 1 do
+                  let t0 = now () in
+                  let cfg_w =
+                    { cfg with Load.Engine.seed = Load.Workload.mix seed w }
+                  in
+                  let result = Load.Engine.run ~pool cfg_w in
+                  if not no_progress then
+                    Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!"
+                      w result.requests (now () -. t0);
+                  let error_budget =
+                    if robust then begin
+                      let eb =
+                        Load.Report.error_budget ~target:slo_target result
+                      in
+                      (match eb.verdict with
+                      | "ok" -> incr ok_w
+                      | "degraded" -> incr degraded_w
+                      | _ -> incr breached_w);
+                      if eb.burn > !worst_burn then worst_burn := eb.burn;
+                      Some eb
+                    end
+                    else None
+                  in
+                  let report =
+                    Load.Report.of_result ~window:w ?error_budget result
+                  in
+                  print_string (Load.Report.render report);
+                  Option.iter
+                    (fun oc ->
+                      output_string oc
+                        (Telemetry.Load_report.to_string ~compact:true report);
+                      output_char oc '\n';
+                      flush oc)
+                    oc
+                done);
+            Option.iter close_out oc;
+            Option.iter
+              (fun file -> Printf.eprintf "manifest stream: %s\n%!" file)
+              out;
+            (* Soak verdict, only for runs that can burn budget: window
+               counts by health plus the worst burn rate seen. *)
+            if robust then
+              Printf.printf
+                "serve: %d window(s): ok=%d degraded=%d breached=%d \
+                 worst-burn=%.2f\n"
+                windows !ok_w !degraded_w !breached_w !worst_burn;
+            `Ok ()
         end
   in
   Cmd.v (Cmd.info "serve" ~doc)

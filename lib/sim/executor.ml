@@ -103,73 +103,97 @@ let validate_config ~n (config : Config.t) =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Executor.run: " ^ msg)
 
-let exec ?(config = Config.default) ~(scheduler : Sched.Scheduler.t) ~n ~stop
-    spec =
+(* The state of one run that both executors share.  The per-process
+   arrays are [drive]'s; an executor only writes them through
+   [terminate], when a process body returns.  A process is suspended
+   at a shared-memory operation exactly when it is not [terminated]. *)
+type run = {
+  rng : Stats.Rng.t;
+  metrics : Metrics.t;
+  tr : Sched.Trace.t option;
+  alive : bool array;
+  crashed : bool array;
+  terminated : bool array;
+  stalled_until : int array;
+  restarts : int array;
+  mutable spurious_cas : int;
+}
+
+let new_run ~n (config : Config.t) =
   validate_config ~n config;
-  let {
-    Config.seed;
-    trace;
-    record_samples;
-    fault_plan = plan;
-    max_steps;
-    invariant;
-    invariant_interval;
-    choose;
-  } =
-    config
+  {
+    rng = Stats.Rng.create ~seed:config.seed;
+    metrics = Metrics.create ~record_samples:config.record_samples ~n ();
+    tr = (if config.trace then Some (Sched.Trace.create ~n) else None);
+    alive = Array.make n true;
+    crashed = Array.make n false;
+    terminated = Array.make n false;
+    stalled_until = Array.make n 0;
+    restarts = Array.make n 0;
+    spurious_cas = 0;
+  }
+
+let terminate run i =
+  run.terminated.(i) <- true;
+  run.alive.(i) <- false
+
+(* Start every process body, in process order; [start i] is false when
+   the body returned before its first shared-memory operation. *)
+let launch run start =
+  for i = 0 to Array.length run.alive - 1 do
+    if not (start i) then terminate run i
+  done
+
+let dead_pick (scheduler : Sched.Scheduler.t) i =
+  invalid_arg
+    (Printf.sprintf "Executor.run: scheduler %s picked dead process %d"
+       scheduler.name i)
+
+let step_budget stop max_steps =
+  match stop with Steps s -> min s max_steps | _ -> max_steps
+
+let target_met run stop =
+  let metrics = run.metrics in
+  match stop with
+  | Steps s -> Metrics.time metrics >= s
+  | Completions c -> Metrics.total_completions metrics >= c
+  | Per_process_completions c ->
+      let ok = ref true in
+      for i = 0 to Array.length run.crashed - 1 do
+        if (not run.crashed.(i)) && Metrics.completions_of metrics i < c then
+          ok := false
+      done;
+      !ok
+
+type phase = Running | Done | Early
+
+(* Checked between steps: the run is [Done] once its stop target is
+   met, and ends [Early] when the step budget runs out first — unless
+   a [Steps] stop asked for exactly that budget. *)
+let phase run ~stop ~budget =
+  if target_met run stop then Done
+  else if Metrics.time run.metrics < budget then Running
+  else match stop with Steps _ -> Done | _ -> Early
+
+(* The scheduling loop of §2.1 and Definition 1, written once for both
+   executors.  Before each step it fires the fault events due, in plan
+   order, and refreshes the stall windows; then it either picks one
+   alive process (the choice hook, else the scheduler) and charges it
+   the step, idles a tick, or stops.  The executor supplies [step i],
+   which runs process [i]'s shared operation and local suffix and is
+   false when a spurious CAS denied the operation, and [restart p],
+   which starts a fresh body and is true when it parked at a shared
+   operation.  Returns whether the run stopped early. *)
+let drive run ~(config : Config.t) ~(scheduler : Sched.Scheduler.t) ~stop
+    ~memory ~step ~restart =
+  let { rng; metrics; tr; alive; crashed; terminated; stalled_until; restarts; _ }
+      =
+    run
   in
-  let rng = Stats.Rng.create ~seed in
-  let metrics = Metrics.create ~record_samples ~n () in
-  let tr = if trace then Some (Sched.Trace.create ~n) else None in
-  let alive = Array.make n true in
-  let crashed = Array.make n false in
-  let terminated = Array.make n false in
-  let stalled_until = Array.make n 0 in
-  let restarts = Array.make n 0 in
-  let spurious_cas = ref 0 in
-  let make_state id =
-    let ctx = { Program.id; n; rng = Stats.Rng.split rng } in
-    Effect.Deep.match_with spec.program ctx
-      (handler
-         ~on_complete:(function
-           | None -> Metrics.on_complete metrics id
-           | Some m -> Metrics.on_complete_method metrics id m)
-         ~now:(fun () -> Metrics.time metrics))
-  in
-  let states = Array.init n make_state in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Terminated ->
-          terminated.(i) <- true;
-          alive.(i) <- false
-      | Suspended _ -> ())
-    states;
-  (* Spurious-CAS hook: consulted by [Memory.apply_faulty] only on a
-     would-succeed CAS, drawing from a dedicated RNG stream split off
-     *after* the per-process streams so a plan without spurious rates
-     leaves every other stream — and hence the whole run — untouched. *)
-  let rates = Sched.Fault_plan.spurious_rates ~n plan in
-  let has_spurious = Sched.Fault_plan.has_spurious plan in
-  let current_proc = ref (-1) in
-  if has_spurious then begin
-    let srng = Stats.Rng.split rng in
-    Memory.set_fault_hook spec.memory
-      (Some
-         (fun op ->
-           match op with
-           | Memory.Cas _ | Memory.Cas_get _ ->
-               let r = rates.(!current_proc) in
-               if r > 0. && Stats.Rng.float srng 1.0 < r then begin
-                 incr spurious_cas;
-                 true
-               end
-               else false
-           | Memory.Read _ | Memory.Write _ | Memory.Faa _ -> false))
-  end;
-  let events = Sched.Fault_plan.events plan in
+  let { Config.max_steps; invariant; invariant_interval; choose; _ } = config in
+  let n = Array.length alive in
+  let events = Sched.Fault_plan.events config.fault_plan in
   let cursor = ref 0 in
-  (* Fault events fire at the start of their time step, in plan order. *)
   let process_events now =
     while !cursor < Array.length events && fst events.(!cursor) <= now do
       (match snd events.(!cursor) with
@@ -179,19 +203,13 @@ let exec ?(config = Config.default) ~(scheduler : Sched.Scheduler.t) ~n ~stop
             alive.(p) <- false
           end
       | Sched.Fault_plan.Restart p ->
-          (* Only a crashed, still-suspended process restarts: its old
-             fiber is discarded and a fresh body re-enters over the
-             shared memory as the crash left it. *)
+          (* Only a crashed, still-suspended process restarts: a fresh
+             body re-enters over the shared memory as the crash left
+             it. *)
           if crashed.(p) && not terminated.(p) then begin
-            discard_state states.(p);
             crashed.(p) <- false;
             restarts.(p) <- restarts.(p) + 1;
-            states.(p) <- make_state p;
-            match states.(p) with
-            | Terminated ->
-                terminated.(p) <- true;
-                alive.(p) <- false
-            | Suspended _ -> alive.(p) <- true
+            if restart p then alive.(p) <- true else terminate run p
           end
       | Sched.Fault_plan.Stall (p, d) ->
           if d > 0 then stalled_until.(p) <- max stalled_until.(p) (now + d));
@@ -202,137 +220,170 @@ let exec ?(config = Config.default) ~(scheduler : Sched.Scheduler.t) ~n ~stop
     for i = 0 to n - 1 do
       if stalled_until.(i) > 0 then
         alive.(i) <-
-          stalled_until.(i) <= now
-          && (not crashed.(i))
-          && (not terminated.(i))
-          && (match states.(i) with Suspended _ -> true | Terminated -> false)
+          stalled_until.(i) <= now && (not crashed.(i)) && not terminated.(i)
     done
   in
-  let completions_target_met () =
-    match stop with
-    | Steps s -> Metrics.time metrics >= s
-    | Completions c -> Metrics.total_completions metrics >= c
-    | Per_process_completions c ->
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          if (not crashed.(i)) && Metrics.completions_of metrics i < c then ok := false
-        done;
-        !ok
-  in
-  let alive_count () = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive in
   (* With every process crashed or stalled the run can still make
      progress later: a stall window expires, or a scheduled restart
      revives a crashed process.  [wakeable] decides whether to idle
      (tick the clock without a step) or stop early for good. *)
   let wakeable now =
-    let stall_pending = ref false in
+    let pending = ref false in
     for i = 0 to n - 1 do
-      if
-        stalled_until.(i) > now
-        && (not crashed.(i))
-        && (not terminated.(i))
-        && (match states.(i) with Suspended _ -> true | Terminated -> false)
-      then stall_pending := true
+      if stalled_until.(i) > now && (not crashed.(i)) && not terminated.(i)
+      then pending := true
     done;
-    let restart_pending = ref false in
     for j = !cursor to Array.length events - 1 do
       match snd events.(j) with
       | Sched.Fault_plan.Restart p ->
-          if crashed.(p) && not terminated.(p) then restart_pending := true
+          if crashed.(p) && not terminated.(p) then pending := true
       | _ -> ()
     done;
-    !stall_pending || !restart_pending
+    !pending
   in
-  let stopped_early = ref false in
-  let step_budget = match stop with Steps s -> min s max_steps | _ -> max_steps in
-  let continue_run = ref true in
-  let finalize () =
-    if has_spurious then Memory.set_fault_hook spec.memory None
+  (* A plain loop: [Array.exists] would allocate a closure per step. *)
+  let none_alive () =
+    let i = ref 0 in
+    while !i < n && not alive.(!i) do
+      incr i
+    done;
+    !i = n
   in
-  Fun.protect ~finally:finalize @@ fun () ->
-  while !continue_run do
-    if completions_target_met () then continue_run := false
-    else if Metrics.time metrics >= step_budget then begin
-      (match stop with Steps _ -> () | _ -> stopped_early := true);
-      continue_run := false
-    end
-    else begin
-      let now = Metrics.time metrics in
-      process_events now;
-      refresh_stalls now;
-      if alive_count () = 0 then begin
-        if wakeable now then Metrics.tick metrics
-        else begin
-          stopped_early := true;
-          continue_run := false
-        end
-      end
-      else begin
-        let picked =
+  let budget = step_budget stop max_steps in
+  let rec loop () =
+    match phase run ~stop ~budget with
+    | Done -> false
+    | Early -> true
+    | Running -> (
+        let now = Metrics.time metrics in
+        process_events now;
+        refresh_stalls now;
+        if none_alive () then
+          if wakeable now then begin
+            Metrics.tick metrics;
+            loop ()
+          end
+          else true
+        else
           match choose with
-          | Some f -> f ~alive ~time:now
-          | None -> Some (scheduler.pick ~rng ~alive ~time:now)
-        in
-        match picked with
-        | None ->
-            (* The choice callback declined to continue: stop here so
-               the caller (the schedule explorer) can inspect the
-               frontier state. *)
-            stopped_early := true;
-            continue_run := false
-        | Some i ->
-        if i < 0 || i >= n || not alive.(i) then
-          invalid_arg
-            (Printf.sprintf "Executor.run: scheduler %s picked dead process %d"
-               scheduler.name i);
-        (match states.(i) with
-        | Terminated -> assert false (* terminated processes are not alive *)
-        | Suspended (op, k) ->
-            Metrics.on_step metrics i;
-            Option.iter (fun t -> Sched.Trace.record t i) tr;
-            current_proc := i;
-            (match Memory.apply_faulty spec.memory op with
-            | Memory.Denied ->
-                (* Spurious [Cas_get] failure: the step is consumed but
-                   the process stays suspended at the same operation —
-                   the transparent LL/SC retry. *)
-                ()
-            | Memory.Applied value ->
-                states.(i) <- Effect.Deep.continue k value;
-                (match states.(i) with
-                | Terminated ->
-                    terminated.(i) <- true;
-                    alive.(i) <- false
-                | Suspended _ -> ());
-                (match invariant with
-                | Some check when Metrics.time metrics mod invariant_interval = 0 ->
-                    check spec.memory ~time:(Metrics.time metrics)
-                | _ -> ())))
-      end
-    end
-  done;
-  Option.iter (fun check -> check spec.memory ~time:(Metrics.time metrics)) invariant;
-  let pending =
-    Array.map
-      (function Suspended (op, _) -> Some op | Terminated -> None)
-      states
+          | None -> take (scheduler.pick ~rng ~alive ~time:now)
+          | Some f -> (
+              match f ~alive ~time:now with
+              | Some i -> take i
+              | None ->
+                  (* The choice hook declined to continue: stop here so
+                     the caller (the schedule explorer) can inspect the
+                     frontier state. *)
+                  true))
+  and take i =
+    if i < 0 || i >= n || not alive.(i) then dead_pick scheduler i;
+    Metrics.on_step metrics i;
+    (match tr with Some t -> Sched.Trace.record t i | None -> ());
+    (if step i then
+       match invariant with
+       | Some check when Metrics.time metrics mod invariant_interval = 0 ->
+           check memory ~time:(Metrics.time metrics)
+       | _ -> ());
+    loop ()
   in
-  (* Discard suspended continuations cleanly so fibers are not leaked. *)
-  Array.iteri
-    (fun i s ->
-      discard_state s;
-      match s with Suspended _ -> states.(i) <- Terminated | Terminated -> ())
-    states;
+  loop ()
+
+(* The run's closing invariant check, then its result; [pending] is
+   read after the check. *)
+let conclude run ~(config : Config.t) ~memory ~stopped_early pending =
+  Option.iter
+    (fun check -> check memory ~time:(Metrics.time run.metrics))
+    config.invariant;
   {
-    metrics;
-    trace = tr;
-    crashed;
-    terminated;
-    stopped_early = !stopped_early;
-    pending;
-    restarts;
-    spurious_cas = !spurious_cas;
+    metrics = run.metrics;
+    trace = run.tr;
+    crashed = run.crashed;
+    terminated = run.terminated;
+    stopped_early;
+    pending = pending ();
+    restarts = run.restarts;
+    spurious_cas = run.spurious_cas;
   }
+
+let exec ?(config = Config.default) ~(scheduler : Sched.Scheduler.t) ~n ~stop
+    spec =
+  let run = new_run ~n config in
+  let metrics = run.metrics in
+  let make_state id =
+    let ctx = { Program.id; n; rng = Stats.Rng.split run.rng } in
+    Effect.Deep.match_with spec.program ctx
+      (handler
+         ~on_complete:(function
+           | None -> Metrics.on_complete metrics id
+           | Some m -> Metrics.on_complete_method metrics id m)
+         ~now:(fun () -> Metrics.time metrics))
+  in
+  let states = Array.make n Terminated in
+  let start p =
+    discard_state states.(p);
+    states.(p) <- make_state p;
+    match states.(p) with Suspended _ -> true | Terminated -> false
+  in
+  launch run start;
+  (* Spurious-CAS hook: consulted by [Memory.apply_faulty] only on a
+     would-succeed CAS, drawing from a dedicated RNG stream split off
+     *after* the per-process streams so a plan without spurious rates
+     leaves every other stream — and hence the whole run — untouched. *)
+  let plan = config.fault_plan in
+  let rates = Sched.Fault_plan.spurious_rates ~n plan in
+  let has_spurious = Sched.Fault_plan.has_spurious plan in
+  let current_proc = ref (-1) in
+  if has_spurious then begin
+    let srng = Stats.Rng.split run.rng in
+    Memory.set_fault_hook spec.memory
+      (Some
+         (fun op ->
+           match op with
+           | Memory.Cas _ | Memory.Cas_get _ ->
+               let r = rates.(!current_proc) in
+               if r > 0. && Stats.Rng.float srng 1.0 < r then begin
+                 run.spurious_cas <- run.spurious_cas + 1;
+                 true
+               end
+               else false
+           | Memory.Read _ | Memory.Write _ | Memory.Faa _ -> false))
+  end;
+  let step i =
+    match states.(i) with
+    | Terminated -> assert false (* terminated processes are not alive *)
+    | Suspended (op, k) -> (
+        current_proc := i;
+        match Memory.apply_faulty spec.memory op with
+        | Memory.Denied ->
+            (* Spurious [Cas_get] failure: the step is consumed but the
+               process stays suspended at the same operation — the
+               transparent LL/SC retry. *)
+            false
+        | Memory.Applied value ->
+            states.(i) <- Effect.Deep.continue k value;
+            (match states.(i) with
+            | Terminated -> terminate run i
+            | Suspended _ -> ());
+            true)
+  in
+  let stopped_early =
+    Fun.protect
+      ~finally:(fun () ->
+        if has_spurious then Memory.set_fault_hook spec.memory None)
+      (fun () ->
+        drive run ~config ~scheduler ~stop ~memory:spec.memory ~step
+          ~restart:start)
+  in
+  conclude run ~config ~memory:spec.memory ~stopped_early (fun () ->
+      let pending =
+        Array.map
+          (function Suspended (op, _) -> Some op | Terminated -> None)
+          states
+      in
+      (* Discard suspended continuations cleanly so fibers are not
+         leaked. *)
+      Array.iter discard_state states;
+      pending)
 
 (* The dispatch loops below match on literal opcode values (a literal
    match compiles to a jump table, a match on module constants does
@@ -349,39 +400,23 @@ let () =
         && alloc = 20 && count = 21)
   then failwith "Executor: opcode encoding drifted from Compile.Op"
 
-(* How many scheduler picks to draw per batch on the compiled fast
-   path.  Large enough to amortize dispatch, small enough that the
+(* How many scheduler picks to draw per batch in [exec_compiled]'s
+   batched loop.  Large enough to amortize dispatch, small enough that the
    over-draw wasted at the end of a run is negligible. *)
 let batch_len = 8192
 
 let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
     ~n ~stop (cspec : Compile.spec) =
-  validate_config ~n config;
-  let {
-    Config.seed;
-    trace;
-    record_samples;
-    fault_plan = plan;
-    max_steps;
-    invariant;
-    invariant_interval;
-    choose;
-  } =
+  let run = new_run ~n config in
+  let { rng; metrics; tr; alive; terminated; _ } = run in
+  let { Config.max_steps; invariant; invariant_interval; choose; fault_plan = plan; _ }
+      =
     config
   in
   let memory = cspec.Compile.memory in
   let prog = cspec.Compile.code in
   let code = prog.Compile.code in
   let nregs = Compile.nregs in
-  let rng = Stats.Rng.create ~seed in
-  let metrics = Metrics.create ~record_samples ~n () in
-  let tr = if trace then Some (Sched.Trace.create ~n) else None in
-  let alive = Array.make n true in
-  let crashed = Array.make n false in
-  let terminated = Array.make n false in
-  let stalled_until = Array.make n 0 in
-  let restarts = Array.make n 0 in
-  let spurious_cas = ref 0 in
   let regs = Array.make (n * nregs) 0 in
   let pc = Array.make n 0 in
   let rngs = Array.make n rng in
@@ -460,16 +495,18 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
     pc.(i) <- !p;
     !parked
   in
-  (* Mirror of the interpreter's startup: per-process RNG split then
-     prologue, in process order (the prologue may draw from the
-     process's own stream or allocate, never from the main stream). *)
-  for i = 0 to n - 1 do
-    rngs.(i) <- Stats.Rng.split rng;
-    if not (run_local i) then begin
-      terminated.(i) <- true;
-      alive.(i) <- false
-    end
-  done;
+  (* A fresh body for process [p] — its own RNG split from the main
+     stream (as the interpreter's [make_state] does), zeroed registers,
+     prologue run to the first park point — at startup, in process
+     order, and again at each crash-restart, over the memory as the
+     crash left it. *)
+  let start p =
+    rngs.(p) <- Stats.Rng.split rng;
+    Array.fill regs (p * nregs) nregs 0;
+    pc.(p) <- 0;
+    run_local p
+  in
+  launch run start;
   let rates = Sched.Fault_plan.spurious_rates ~n plan in
   let has_spurious = Sched.Fault_plan.has_spurious plan in
   (* Split in the same stream position as the interpreter's hook rng:
@@ -502,7 +539,7 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
             && (let r = Array.unsafe_get rates i in
                 r > 0. && Stats.Rng.float srng 1.0 < r)
           then begin
-            incr spurious_cas;
+            run.spurious_cas <- run.spurious_cas + 1;
             0
           end
           else begin
@@ -521,7 +558,7 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
             && (let r = Array.unsafe_get rates i in
                 r > 0. && Stats.Rng.float srng 1.0 < r)
           then begin
-            incr spurious_cas;
+            run.spurious_cas <- run.spurious_cas + 1;
             denied := true;
             0
           end
@@ -539,111 +576,34 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
         old
     | _ -> assert false
   in
-  (* One scheduled step of alive process [i]: charge the step, apply
-     the shared op, then (unless spuriously denied, the LL/SC retry)
-     deliver the result to r0 and run the local suffix to the next
-     park point, then the invariant hook — the same order as the
-     interpreter around [Effect.Deep.continue]. *)
-  let step_process i =
-    Metrics.on_step metrics i;
-    (match tr with Some t -> Sched.Trace.record t i | None -> ());
+  (* One step of process [i] for [drive]: apply the shared op, then
+     (unless spuriously denied, the LL/SC retry) deliver the result to
+     r0 and run the local suffix to the next park point — the same
+     order as the interpreter around [Effect.Deep.continue]. *)
+  let step i =
     denied := false;
     let v = step_shared i in
-    if not !denied then begin
+    if !denied then false
+    else begin
       Array.unsafe_set regs (i * nregs) v;
       pc.(i) <- pc.(i) + 1;
-      if not (run_local i) then begin
-        terminated.(i) <- true;
-        alive.(i) <- false
-      end;
-      match invariant with
-      | Some check when Metrics.time metrics mod invariant_interval = 0 ->
-          check memory ~time:(Metrics.time metrics)
-      | _ -> ()
+      if not (run_local i) then terminate run i;
+      true
     end
   in
-  let events = Sched.Fault_plan.events plan in
-  let cursor = ref 0 in
-  let process_events now =
-    while !cursor < Array.length events && fst events.(!cursor) <= now do
-      (match snd events.(!cursor) with
-      | Sched.Fault_plan.Crash p ->
-          if not terminated.(p) then begin
-            crashed.(p) <- true;
-            alive.(p) <- false
-          end
-      | Sched.Fault_plan.Restart p ->
-          (* Fresh body over the memory as the crash left it: new RNG
-             split from the main stream (as the interpreter's
-             [make_state] does), zeroed registers, prologue re-run. *)
-          if crashed.(p) && not terminated.(p) then begin
-            crashed.(p) <- false;
-            restarts.(p) <- restarts.(p) + 1;
-            rngs.(p) <- Stats.Rng.split rng;
-            Array.fill regs (p * nregs) nregs 0;
-            pc.(p) <- 0;
-            if run_local p then alive.(p) <- true
-            else begin
-              terminated.(p) <- true;
-              alive.(p) <- false
-            end
-          end
-      | Sched.Fault_plan.Stall (p, d) ->
-          if d > 0 then stalled_until.(p) <- max stalled_until.(p) (now + d));
-      incr cursor
-    done
-  in
-  let refresh_stalls now =
-    for i = 0 to n - 1 do
-      if stalled_until.(i) > 0 then
-        alive.(i) <-
-          stalled_until.(i) <= now
-          && (not crashed.(i))
-          && (not terminated.(i))
-          && pc.(i) >= 0
-    done
-  in
-  let completions_target_met () =
-    match stop with
-    | Steps s -> Metrics.time metrics >= s
-    | Completions c -> Metrics.total_completions metrics >= c
-    | Per_process_completions c ->
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          if (not crashed.(i)) && Metrics.completions_of metrics i < c then ok := false
-        done;
-        !ok
-  in
-  let alive_count () = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alive in
-  let wakeable now =
-    let stall_pending = ref false in
-    for i = 0 to n - 1 do
-      if
-        stalled_until.(i) > now
-        && (not crashed.(i))
-        && (not terminated.(i))
-        && pc.(i) >= 0
-      then stall_pending := true
-    done;
-    let restart_pending = ref false in
-    for j = !cursor to Array.length events - 1 do
-      match snd events.(j) with
-      | Sched.Fault_plan.Restart p ->
-          if crashed.(p) && not terminated.(p) then restart_pending := true
-      | _ -> ()
-    done;
-    !stall_pending || !restart_pending
-  in
-  let stopped_early = ref false in
-  let step_budget = match stop with Steps s -> min s max_steps | _ -> max_steps in
-  let continue_run = ref true in
-  (* Fast path: with no choice hook, no faults and a program that
+  (* Batched path: with no choice hook, no faults and a program that
      cannot halt, the alive set provably never changes, so scheduler
      picks can be drawn in batches ([Scheduler.fill] consumes the RNG
      bit-for-bit as per-step picks would).  Picks over-drawn when a
      completion target lands mid-batch are discarded with the run's
      private RNG — nothing observes the main stream afterwards, so
-     results stay byte-identical to the per-step path. *)
+     results stay byte-identical to [drive]'s.  The whole step —
+     charge, trace, shared op, local suffix, invariant — is inlined
+     with the clock in a local, synced back to the metrics before
+     anything that reads it (a completion, the invariant, the stop
+     check, the caller).  The fault-free plan makes the spurious-CAS
+     branches of [step_shared] dead, and [has_halt = false] makes the
+     halt opcode unreachable. *)
   let can_batch =
     Option.is_none choose
     && Option.is_some scheduler.fill
@@ -651,45 +611,36 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
     && (not prog.Compile.has_halt)
     && not (Array.exists Fun.id terminated)
   in
-  if can_batch && Option.is_none tr && Option.is_none invariant then begin
-    (* Fastest path: batching applies *and* nothing per-step is
-       observable from outside (no trace, no invariant), so the whole
-       step — charge, shared op, local suffix — is inlined with the
-       clock in a local, synced back to the metrics before anything
-       that reads it (a completion, the stop check, the caller).
-       [can_batch] implies a fault-free plan, so the spurious-CAS
-       branches of [step_shared] are dead and omitted; it also implies
-       [has_halt = false], so the halt opcode is unreachable and the
-       alive set never changes. *)
-    let fill = Option.get scheduler.fill in
-    let batch = Array.make batch_len 0 in
-    let check_target = match stop with Steps _ -> false | _ -> true in
-    let steps_by = Metrics.steps_array metrics in
-    let time = ref (Metrics.time metrics) in
-    while !continue_run do
-      if completions_target_met () then continue_run := false
-      else if !time >= step_budget then begin
-        (match stop with Steps _ -> () | _ -> stopped_early := true);
-        continue_run := false
-      end
-      else begin
-        let len = min batch_len (step_budget - !time) in
+  let stopped_early =
+    if not can_batch then
+      drive run ~config ~scheduler ~stop ~memory ~step ~restart:start
+    else begin
+      let fill = Option.get scheduler.fill in
+      let batch = Array.make batch_len 0 in
+      (* For step-count stops the batch length already respects the
+         budget; only completion-style stops need the per-step check. *)
+      let check_target = match stop with Steps _ -> false | _ -> true in
+      let steps_by = Metrics.steps_array metrics in
+      let budget = step_budget stop max_steps in
+      (* Inline, not a local function: no closure captures [time], so
+         it compiles to a plain local rather than a heap ref. *)
+      let time = ref (Metrics.time metrics) in
+      let ph = ref (phase run ~stop ~budget) in
+      while !ph = Running do
+        let len = min batch_len (budget - !time) in
         fill ~rng ~alive ~dst:batch ~len;
         let j = ref 0 in
-        while !j < len && !continue_run do
-          if check_target && completions_target_met () then
-            continue_run := false
+        while !j < len do
+          if check_target && target_met run stop then j := len
           else begin
             let i = Array.unsafe_get batch !j in
             if i < 0 || i >= n || not (Array.unsafe_get alive i) then begin
               Metrics.set_time metrics !time;
-              invalid_arg
-                (Printf.sprintf
-                   "Executor.run: scheduler %s picked dead process %d"
-                   scheduler.name i)
+              dead_pick scheduler i
             end;
             time := !time + 1;
             Array.unsafe_set steps_by i (Array.unsafe_get steps_by i + 1);
+            (match tr with Some t -> Sched.Trace.record t i | None -> ());
             let rb = i * nregs in
             let base = Array.unsafe_get pc i * 4 in
             let opcode = Array.unsafe_get code base in
@@ -807,118 +758,39 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
               end
             done;
             Array.unsafe_set pc i !p;
+            (match invariant with
+            | Some check when !time mod invariant_interval = 0 ->
+                Metrics.set_time metrics !time;
+                check memory ~time:!time
+            | _ -> ());
             incr j
           end
         done;
-        Metrics.set_time metrics !time
-      end
-    done
-  end
-  else if can_batch then begin
-    let fill = Option.get scheduler.fill in
-    let batch = Array.make batch_len 0 in
-    (* For step-count stops the batch length already respects the
-       budget; only completion-style stops need the per-step check. *)
-    let check_target = match stop with Steps _ -> false | _ -> true in
-    while !continue_run do
-      if completions_target_met () then continue_run := false
-      else begin
-        let now = Metrics.time metrics in
-        if now >= step_budget then begin
-          (match stop with Steps _ -> () | _ -> stopped_early := true);
-          continue_run := false
-        end
-        else begin
-          let len = min batch_len (step_budget - now) in
-          fill ~rng ~alive ~dst:batch ~len;
-          let j = ref 0 in
-          while !j < len && !continue_run do
-            if check_target && completions_target_met () then
-              continue_run := false
-            else begin
-              let i = Array.unsafe_get batch !j in
-              if i < 0 || i >= n || not alive.(i) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Executor.run: scheduler %s picked dead process %d"
-                     scheduler.name i);
-              step_process i;
-              incr j
-            end
-          done
-        end
-      end
-    done
-  end
-  else
-    while !continue_run do
-      if completions_target_met () then continue_run := false
-      else if Metrics.time metrics >= step_budget then begin
-        (match stop with Steps _ -> () | _ -> stopped_early := true);
-        continue_run := false
-      end
-      else begin
-        let now = Metrics.time metrics in
-        process_events now;
-        refresh_stalls now;
-        if alive_count () = 0 then begin
-          if wakeable now then Metrics.tick metrics
-          else begin
-            stopped_early := true;
-            continue_run := false
-          end
-        end
-        else begin
-          let picked =
-            match choose with
-            | Some f -> f ~alive ~time:now
-            | None -> Some (scheduler.pick ~rng ~alive ~time:now)
-          in
-          match picked with
-          | None ->
-              stopped_early := true;
-              continue_run := false
-          | Some i ->
-              if i < 0 || i >= n || not alive.(i) then
-                invalid_arg
-                  (Printf.sprintf
-                     "Executor.run: scheduler %s picked dead process %d"
-                     scheduler.name i);
-              step_process i
-        end
-      end
-    done;
-  Option.iter (fun check -> check memory ~time:(Metrics.time metrics)) invariant;
+        Metrics.set_time metrics !time;
+        ph := phase run ~stop ~budget
+      done;
+      !ph = Early
+    end
+  in
   (* A parked process's pending operation is decodable from its pc
      (always on a shared opcode) and registers — the registers cannot
      have changed since it parked. *)
-  let pending =
-    Array.init n (fun i ->
-        if pc.(i) < 0 then None
-        else
-          let rb = i * Compile.nregs in
-          let base = pc.(i) * 4 in
-          let r k = regs.(rb + code.(base + k)) in
-          match code.(base) with
-          | 0 -> Some (Memory.Read (r 1))
-          | 1 -> Some (Memory.Write (r 1, r 2))
-          | 2 -> Some (Memory.Cas (r 1, r 2, r 3))
-          | 3 -> Some (Memory.Cas_get (r 1, r 2, r 3))
-          | 4 -> Some (Memory.Faa (r 1, r 2))
-          | _ -> assert false)
-  in
-  {
-    metrics;
-    trace = tr;
-    crashed;
-    terminated;
-    stopped_early = !stopped_early;
-    pending;
-    restarts;
-    spurious_cas = !spurious_cas;
-  }
+  conclude run ~config ~memory ~stopped_early (fun () ->
+      Array.init n (fun i ->
+          if pc.(i) < 0 then None
+          else
+            let rb = i * Compile.nregs in
+            let base = pc.(i) * 4 in
+            let r k = regs.(rb + code.(base + k)) in
+            match code.(base) with
+            | 0 -> Some (Memory.Read (r 1))
+            | 1 -> Some (Memory.Write (r 1, r 2))
+            | 2 -> Some (Memory.Cas (r 1, r 2, r 3))
+            | 3 -> Some (Memory.Cas_get (r 1, r 2, r 3))
+            | 4 -> Some (Memory.Faa (r 1, r 2))
+            | _ -> assert false))
 
-let fingerprint r =
+let fingerprint (r : result) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   Buffer.add_string buf (Metrics.fingerprint r.metrics);

@@ -19,7 +19,9 @@
     A plan with none of these degenerates to the paper's model and the
     run is byte-identical to one without a fault plan.
 
-    Two entry points share these semantics and one {!Config.t}:
+    Two entry points share these semantics and one {!Config.t}.  Both
+    run through one scheduling driver; [exec_compiled] bypasses it only
+    in its batched loop, where the alive set provably cannot change:
 
     - {!exec} runs an effect-based {!spec} (a closure body suspended
       at each shared-memory step) — maximally expressive, pays effect

@@ -538,6 +538,31 @@ let test_load_faulted_deterministic () =
       Alcotest.(check bool) "stdout reports the error budget" true
         (contains out1 "error-budget: availability="))
 
+let test_out_unwritable () =
+  (* An --out path that cannot be written (here: beneath a plain file)
+     is a one-line usage error from load and serve — exit 124, like
+     run --out — never an uncaught exception. *)
+  with_scratch_dir (fun dir ->
+      let oc = open_out (Filename.concat dir "occupied") in
+      output_string oc "plain file";
+      close_out oc;
+      List.iter
+        (fun args ->
+          let code, _, err =
+            run dir (args ^ " --no-progress --out occupied/m.json")
+          in
+          Alcotest.(check int) (args ^ " exits 124; stderr: " ^ err) 124 code;
+          Alcotest.(check int) (args ^ " one stderr line") 1
+            (List.length (String.split_on_char '\n' (String.trim err)));
+          Alcotest.(check bool) (args ^ " names --out") true
+            (contains err "--out: ");
+          Alcotest.(check bool) (args ^ " no uncaught exception") false
+            (contains err "uncaught exception"))
+        [
+          "load --structures counter --clients 200";
+          "serve --structures counter --clients 200 --windows 2";
+        ])
+
 let test_load_outage_drill () =
   (* Permanently crash both workers of both shards: the service must
      degrade (all requests dropped), name the stopped shards on stderr,
@@ -730,6 +755,8 @@ let () =
         [
           Alcotest.test_case "--out under a file fails fast" `Quick
             test_out_under_file_fails_fast;
+          Alcotest.test_case "load/serve --out unwritable" `Quick
+            test_out_unwritable;
           Alcotest.test_case "bad fault spec rejected" `Quick
             test_bad_fault_spec_rejected;
           Alcotest.test_case "chaos --faults validated" `Quick

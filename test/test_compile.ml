@@ -185,22 +185,34 @@ let test_batched_matches_per_step () =
     (Sim.Executor.fingerprint batched)
     (Sim.Executor.fingerprint per_step)
 
-let test_fast_loop_matches_instrumented () =
-  (* An inert invariant routes the run through the instrumented batched
-     loop instead of the fully-inlined one; observables must agree. *)
-  let fast =
-    compiled_counter_result ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
+let test_batched_matches_drive_observed () =
+  (* With a trace and an invariant that records its call times, the
+     batched loop and the per-pick driver ([fill = None]) must agree on
+     every observable: the fingerprint, trace included, and the
+     invariant's cadence. *)
+  let observed scheduler =
+    let times = ref [] in
+    let r =
+      compiled_counter_result
+        ~config:
+          Sim.Executor.Config.(
+            default |> with_trace true
+            |> with_invariant ~interval:1_000 (fun _ ~time ->
+                   times := time :: !times))
+        ~scheduler ~steps:30_000 ()
+    in
+    Alcotest.(check bool) "trace recorded" true (r.Sim.Executor.trace <> None);
+    (Sim.Executor.fingerprint r, List.rev !times)
   in
-  let instrumented =
-    compiled_counter_result
-      ~config:
-        Sim.Executor.Config.(
-          default |> with_invariant ~interval:1_000 (fun _ ~time:_ -> ()))
-      ~scheduler:Sched.Scheduler.uniform ~steps:30_000 ()
+  let batched, batched_times = observed Sched.Scheduler.uniform in
+  let driven, driven_times =
+    observed { Sched.Scheduler.uniform with fill = None }
   in
-  Alcotest.(check string) "fast loop == instrumented loop"
-    (Sim.Executor.fingerprint fast)
-    (Sim.Executor.fingerprint instrumented)
+  Alcotest.(check string) "batched loop == drive, trace included" driven
+    batched;
+  Alcotest.(check (list int)) "invariant call times" driven_times batched_times;
+  (* Every 1,000th step, then once after the run. *)
+  Alcotest.(check int) "invariant calls" 31 (List.length batched_times)
 
 let test_fast_loop_matches_faulted_slow_loop () =
   (* A stall scheduled far past the horizon never fires but disables
@@ -305,8 +317,8 @@ let () =
           Alcotest.test_case "counter kernel parity" `Quick test_counter_parity;
           Alcotest.test_case "batched = per-step picks" `Quick
             test_batched_matches_per_step;
-          Alcotest.test_case "fast loop = instrumented loop" `Quick
-            test_fast_loop_matches_instrumented;
+          Alcotest.test_case "batched = drive, traced + invariant" `Quick
+            test_batched_matches_drive_observed;
           Alcotest.test_case "fast loop = fault-checking loop" `Quick
             test_fast_loop_matches_faulted_slow_loop;
         ] );
