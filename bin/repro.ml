@@ -679,7 +679,13 @@ let bench_cmd =
         (const run $ ids_arg $ seed_arg $ repeat_arg $ full_flag
        $ progress_flag $ out_arg $ gate_arg $ preflight_arg))
 
-(* Arguments shared by `repro check` and `repro chaos`. *)
+(* -- The verdict commands: `check`, `chaos` and `scenario` -------------
+
+   Each command only turns its flags into a Scenario.t and a replay
+   line for a failure; [run_verdict] owns everything else — progress
+   lines, VIOLATION blocks as they are found, --out artifacts and the
+   exit verdict — so the three cannot drift apart.  The progress format
+   is the one test/golden/ pins for `check` and `chaos`. *)
 
 let structures_arg =
   Arg.(
@@ -742,6 +748,169 @@ let parse_structures s =
              (List.filter (fun x -> x <> "") (String.split_on_char ',' names)))
       with Invalid_argument msg -> Error msg)
 
+let structure_names = List.map (fun (s : Scu.Checkable.t) -> s.name)
+
+let faults_of (f : Scenario.failure) =
+  if f.fault_spec = "" then "none" else f.fault_spec
+
+(* A fault spec of explicit events only — what a replay accepts. *)
+let explicit_faults base =
+  { Sched.Fault_plan.base; rates = Sched.Fault_plan.zero_rates }
+
+let mix_flag (f : Scenario.failure) =
+  match f.mix_seed with None -> "" | Some m -> Printf.sprintf " --mix-seed %d" m
+
+(* A failure's one-shot reproduction scenario: same workload, the
+   failure's own mix seed, its shrunk fault plan (explicit events only)
+   plus any crash plan, a fixed replay source, and both history gates. *)
+let replay_scenario (scn : Scenario.t) (f : Scenario.failure) =
+  let events =
+    match Sched.Fault_plan.parse_spec f.fault_spec with
+    | Ok s -> s.base
+    | Error _ -> Sched.Fault_plan.none
+  in
+  let faults =
+    explicit_faults
+      (Sched.Fault_plan.merge
+         (Sched.Fault_plan.of_crash_events f.crash_plan)
+         events)
+  in
+  let tail =
+    if f.tail = "round-robin" then Check.Schedule.Round_robin
+    else Check.Schedule.Stop
+  in
+  Scenario.make ~n:scn.n ~ops:scn.ops ~seed:scn.seed ?mix_seed:f.mix_seed
+    ~faults
+    ~sources:[ Scenario.Replay { schedule = f.schedule; tail } ]
+    ~gates:[ Scenario.Lin; Scenario.Shadow ]
+    ~structures:[ f.structure ] ()
+
+(* One replayable report file per printed violation. *)
+let write_artifact ~dir ~k scn (f : Scenario.failure) =
+  let path =
+    Filename.concat dir (Printf.sprintf "%s-%s-%d.txt" f.structure f.source k)
+  in
+  let oc = open_out path in
+  Printf.fprintf oc
+    "spec: %s\nreplay-spec: %s\nstructure: %s\nsource: %s\nschedule: %s\n\
+     faults: %s\ncrash: %s\nmix-seed: %s\ntail: %s\n\n%s\n"
+    (Scenario.to_string scn)
+    (Scenario.to_string (replay_scenario scn f))
+    f.structure f.source f.replay (faults_of f)
+    (String.concat ","
+       (List.map (fun (t, p) -> Printf.sprintf "%d:%d" t p) f.crash_plan))
+    (match f.mix_seed with None -> "-" | Some m -> string_of_int m)
+    f.tail f.verdict;
+  close_out oc;
+  Printf.eprintf "wrote %s\n%!" path
+
+(* The progress line(s) of one finished unit.  Chaos timings go to
+   stderr: `chaos` stdout must be byte-identical across repeats. *)
+let print_progress (scn : Scenario.t) = function
+  | Scenario.Explore_done { structure; report = r; elapsed } ->
+      Printf.printf
+        "[explore] %-14s nodes=%d terminals=%d pruned=%d+%d violations=%d \
+         exhausted=%b (%.2fs)\n"
+        structure r.nodes r.terminals r.pruned_by_state r.pruned_by_sleep
+        (List.length r.violations)
+        r.exhausted elapsed
+  | Fuzz_done { structure; report = r; elapsed } ->
+      Printf.printf "[fuzz]    %-14s trials=%d failures=%d (%.2fs)\n" structure
+        r.trials
+        (List.length r.failures)
+        elapsed;
+      if r.failures <> [] then
+        Printf.printf "  seed: %d (re-run with --seed %d)\n" scn.seed scn.seed
+  | Chaos_done { structure; report = r; elapsed } ->
+      Printf.printf "[chaos]   %-14s trials=%d failures=%d\n" structure r.trials
+        (List.length r.failures);
+      Printf.eprintf "  [chaos] %s: %.2fs\n%!" structure elapsed
+  | Replay_done { structure; outcome } ->
+      Printf.printf "%s: %s\n  effective schedule: %s\n" structure
+        (Check.Schedule.verdict_to_string outcome.verdict)
+        (Sched.Scheduler.replay_to_string outcome.executed)
+  | Load_done { structure; completed; verdict; elapsed } ->
+      Printf.printf "[load]    %-14s completed=%d %s (%.2fs)\n" structure
+        completed
+        (Check.Schedule.verdict_to_string verdict)
+        elapsed
+  | Conform_done { report = r; elapsed } ->
+      List.iter
+        (fun (g : Check.Conform.gate) ->
+          Printf.printf "[conform] %s %-24s %s\n"
+            (if g.passed then "PASS" else "FAIL")
+            g.name g.detail)
+        r.gates;
+      Printf.printf "[conform] %s in %.1fs (seed %d)\n"
+        (if r.passed then "all gates passed" else "GATES FAILED")
+        elapsed scn.seed
+  | Violation _ -> ()
+
+(* Run [scn] and judge it.  [reproduce] is the command's own replay
+   line for a failure, [summary] its closing line, [header] an
+   optional first line and [finish] work between the run and the
+   summary.  Explore lists every violating terminal, so only the first
+   three per structure are printed (and written); all are counted.
+   The --out directory is created up front so an unwritable one fails
+   before any work.  Exit 1 unless the run passed (with --expect-bug:
+   unless it found a violation). *)
+let run_verdict ?header ?(finish = ignore) ~expect_bug ~out ~reproduce
+    ~summary (scn : Scenario.t) =
+  match Option.iter Telemetry.Fsutil.mkdir_p out with
+  | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
+  | () ->
+      Option.iter print_endline header;
+      let shown = ref 0 and written = ref 0 in
+      let on_event = function
+        | Scenario.Violation f ->
+            if f.source = "explore" then incr shown;
+            if f.source <> "explore" || !shown <= 3 then begin
+              Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n" f.structure
+                f.source f.replay;
+              if f.source = "chaos" then
+                Printf.printf "  faults: %s\n" (faults_of f);
+              Printf.printf "  %s\n  replay: %s\n" f.verdict (reproduce f);
+              Option.iter
+                (fun dir ->
+                  incr written;
+                  write_artifact ~dir ~k:!written scn f)
+                out
+            end
+        | e ->
+            (match e with Scenario.Explore_done _ -> shown := 0 | _ -> ());
+            print_progress scn e
+      in
+      let outcome = Scenario.run ~on_event ~now scn in
+      finish ();
+      Printf.printf "%s%s\n" (summary outcome)
+        (if expect_bug then " (expecting a bug)" else "");
+      let ok =
+        if expect_bug then outcome.failures <> [] else outcome.passed
+      in
+      if ok then `Ok () else exit 1
+
+(* `check --replay` and `chaos --replay`: one schedule against the one
+   named structure; prints the verdict and the effective schedule. *)
+let replay_one ~structs ~n ~ops ~seed ~mix ~faults ~tail ~expect_bug sched =
+  match structs with
+  | [ (s : Scu.Checkable.t) ] -> (
+      match Sched.Scheduler.replay_of_string sched with
+      | exception Invalid_argument msg -> `Error (false, "--replay: " ^ msg)
+      | schedule ->
+          let scn =
+            Scenario.make ~n ~ops ~seed ?mix_seed:mix ~faults
+              ~sources:[ Scenario.Replay { schedule; tail } ]
+              ~gates:[ Scenario.Lin ] ~structures:[ s.name ] ()
+          in
+          let outcome = Scenario.run ~on_event:(print_progress scn) ~now scn in
+          if outcome.passed <> expect_bug then `Ok () else exit 1)
+  | _ -> `Error (false, "--replay needs exactly one --structures name")
+
+let check_workload ~n ~ops =
+  if n < 1 || ops < 1 || n * ops > 62 then
+    Error "need n >= 1, ops >= 1 and n*ops <= 62"
+  else Ok ()
+
 (* `repro check`: schedule exploration (bounded exhaustive
    interleavings), schedule fuzzing (random + adversarial, with
    shrinking) and statistical conformance gates, over the structures
@@ -762,7 +931,6 @@ let check_cmd =
             "Comma-separated subset of $(b,explore), $(b,fuzz), $(b,conform) \
              (default: all three).")
   in
-  let long_flag = Flags.long in
   let crash_arg =
     Arg.(
       value & opt string ""
@@ -778,7 +946,11 @@ let check_cmd =
              explorer's frontier semantics, default) or $(b,round-robin) \
              (run to completion, the fuzzer's semantics).")
   in
-  let check_out_arg = Flags.artifact_dir in
+  let parse_tail = function
+    | "stop" -> Ok Check.Schedule.Stop
+    | "round-robin" -> Ok Check.Schedule.Round_robin
+    | t -> Error ("unknown --tail: " ^ t)
+  in
   let parse_crash s =
     if s = "" then Ok []
     else
@@ -819,113 +991,32 @@ let check_cmd =
         (fun m -> not (List.mem m [ "explore"; "fuzz"; "conform" ]))
         modes
     in
-    match (parse_structures structures, parse_crash crash) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok _, _ when bad_modes <> [] ->
-        `Error (false, "unknown --mode: " ^ String.concat "," bad_modes)
-    | Ok _, _ when n < 1 || ops < 1 || n * ops > 62 ->
-        `Error (false, "need n >= 1, ops >= 1 and n*ops <= 62")
-    | Ok structs, Ok crash_events -> (
-        let crashes = Sched.Fault_plan.of_crash_events crash_events in
-        match Sched.Fault_plan.validate ~n crashes with
-        | Error msg -> `Error (false, "--crash: " ^ msg)
-        | Ok () ->
-        let violations = ref 0 in
-        let gates_failed = ref 0 in
-        let artifact_id = ref 0 in
-        let write_artifact ~structure ~source ~mix_seed ~tail ~crash_plan
-            ~verdict schedule =
-          Option.iter
-            (fun dir ->
-              Telemetry.Fsutil.mkdir_p dir;
-              incr artifact_id;
-              let path =
-                Filename.concat dir
-                  (Printf.sprintf "%s-%s-%d.txt" structure source !artifact_id)
-              in
-              let oc = open_out path in
-              Printf.fprintf oc
-                "structure: %s\nsource: %s\nn: %d\nops: %d\nmix-seed: %s\n\
-                 crash: %s\ntail: %s\nschedule: %s\n\n%s\n"
-                structure source n ops
-                (match mix_seed with
-                | None -> "-"
-                | Some s -> string_of_int s)
-                (String.concat ","
-                   (List.map
-                      (fun (t, p) -> Printf.sprintf "%d:%d" t p)
-                      crash_plan))
-                tail
-                (Sched.Scheduler.replay_to_string schedule)
-                verdict;
-              close_out oc;
-              Printf.eprintf "wrote %s\n%!" path)
-            out
-        in
-        let report_violation ~structure ~source ~mix_seed ~tail ~crash_plan
-            ~verdict schedule =
-          incr violations;
-          Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n  %s\n" structure
-            source
-            (Sched.Scheduler.replay_to_string schedule)
-            verdict;
-          Printf.printf
-            "  replay: repro check --structures %s -n %d --ops %d --replay %s \
-             --tail %s%s\n"
-            structure n ops
-            (Sched.Scheduler.replay_to_string schedule)
-            tail
-            (match mix_seed with
-            | None -> ""
-            | Some s -> Printf.sprintf " --mix-seed %d" s);
-          write_artifact ~structure ~source ~mix_seed ~tail ~crash_plan
-            ~verdict schedule
-        in
-        (* Both paths below construct a Scenario.t and route through
-           Scenario.run; all printing happens in the event callback so
-           the stdout of historical invocations stays byte-identical
-           (pinned by the golden CLI tests). *)
-        let names =
-          List.map (fun (s : Scu.Checkable.t) -> s.name) structs
-        in
+    let ( let* ) = Result.bind in
+    let parsed =
+      let* structs = parse_structures structures in
+      let* crash_events = parse_crash crash in
+      let* tail = parse_tail tail in
+      let* () =
+        if bad_modes = [] then Ok ()
+        else Error ("unknown --mode: " ^ String.concat "," bad_modes)
+      in
+      let* () = check_workload ~n ~ops in
+      let crashes = Sched.Fault_plan.of_crash_events crash_events in
+      let* () =
+        Result.map_error
+          (fun msg -> "--crash: " ^ msg)
+          (Sched.Fault_plan.validate ~n crashes)
+      in
+      Ok (structs, crashes, tail)
+    in
+    match parsed with
+    | Error msg -> `Error (false, msg)
+    | Ok (structs, crashes, tail) -> (
         match replay with
-        | Some sched_string -> (
-            match structs with
-            | [ structure ] ->
-                let schedule =
-                  Sched.Scheduler.replay_of_string sched_string
-                in
-                let tail_mode =
-                  if tail = "round-robin" then Check.Schedule.Round_robin
-                  else Check.Schedule.Stop
-                in
-                let scn =
-                  Scenario.make ~n ~ops ~seed ?mix_seed:mix
-                    ~faults:
-                      {
-                        Sched.Fault_plan.base = crashes;
-                        rates = Sched.Fault_plan.zero_rates;
-                      }
-                    ~sources:
-                      [ Scenario.Replay { schedule; tail = tail_mode } ]
-                    ~gates:[ Scenario.Lin ]
-                    ~structures:[ structure.Scu.Checkable.name ]
-                    ()
-                in
-                let bad = ref false in
-                let on_event = function
-                  | Scenario.Replay_done { structure; outcome } ->
-                      Printf.printf "%s: %s\n  effective schedule: %s\n"
-                        structure
-                        (Check.Schedule.verdict_to_string outcome.verdict)
-                        (Sched.Scheduler.replay_to_string outcome.executed);
-                      bad := Check.Schedule.is_bad outcome.verdict
-                  | _ -> ()
-                in
-                ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
-                if !bad = expect_bug then `Ok ()
-                else exit 1
-            | _ -> `Error (false, "--replay needs exactly one --structures name"))
+        | Some sched ->
+            replay_one ~structs ~n ~ops ~seed ~mix ~tail ~expect_bug
+              ~faults:(explicit_faults crashes)
+              sched
         | None ->
             let sources =
               (if List.mem "explore" modes then [ Scenario.Explore ] else [])
@@ -933,8 +1024,7 @@ let check_cmd =
             in
             let gates =
               Scenario.Lin
-              :: (if List.mem "conform" modes then [ Scenario.Conform ]
-                  else [])
+              :: (if List.mem "conform" modes then [ Scenario.Conform ] else [])
             in
             let budget =
               {
@@ -948,77 +1038,25 @@ let check_cmd =
             in
             let scn =
               Scenario.make ~n ~ops ~seed
-                ~faults:
-                  {
-                    Sched.Fault_plan.base = Sched.Fault_plan.none;
-                    rates = Sched.Fault_plan.zero_rates;
-                  }
-                ~sources ~gates ~budget ~structures:names ()
+                ~faults:(explicit_faults Sched.Fault_plan.none)
+                ~sources ~gates ~budget ~structures:(structure_names structs) ()
             in
-            let on_event = function
-              | Scenario.Explore_done { structure; report = r; elapsed } ->
-                  Printf.printf
-                    "[explore] %-14s nodes=%d terminals=%d pruned=%d+%d \
-                     violations=%d exhausted=%b (%.2fs)\n"
-                    structure r.nodes r.terminals r.pruned_by_state
-                    r.pruned_by_sleep
-                    (List.length r.violations)
-                    r.exhausted elapsed;
-                  List.iteri
-                    (fun i (v : Check.Explore.violation) ->
-                      if i < 3 then
-                        report_violation ~structure ~source:"explore"
-                          ~mix_seed:None ~tail:"stop" ~crash_plan:[]
-                          ~verdict:(Check.Schedule.verdict_to_string v.verdict)
-                          v.schedule
-                      else incr violations)
-                    r.violations
-              | Scenario.Fuzz_done { structure; report = r; elapsed } ->
-                  Printf.printf "[fuzz]    %-14s trials=%d failures=%d (%.2fs)\n"
-                    structure r.trials
-                    (List.length r.failures)
-                    elapsed;
-                  if r.failures <> [] then
-                    Printf.printf "  seed: %d (re-run with --seed %d)\n" seed
-                      seed;
-                  List.iter
-                    (fun (f : Check.Fuzz.failure) ->
-                      report_violation ~structure:f.structure ~source:f.source
-                        ~mix_seed:f.mix_seed
-                        ~tail:
-                          (if f.source = "qcheck" then "round-robin"
-                           else "stop")
-                        ~crash_plan:f.crash_plan ~verdict:f.verdict f.schedule)
-                    r.failures
-              | Scenario.Conform_done { report = r; elapsed } ->
-                  List.iter
-                    (fun (g : Check.Conform.gate) ->
-                      if not g.passed then incr gates_failed;
-                      Printf.printf "[conform] %s %-24s %s\n"
-                        (if g.passed then "PASS" else "FAIL")
-                        g.name g.detail)
-                    r.gates;
-                  Printf.printf "[conform] %s in %.1fs (seed %d)\n"
-                    (if r.passed then "all gates passed" else "GATES FAILED")
-                    elapsed seed
-              | _ -> ()
-            in
-            ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
-            let ok =
-              if expect_bug then !violations > 0
-              else !violations = 0 && !gates_failed = 0
-            in
-            Printf.printf "check: %d violation(s), %d failed gate(s)%s\n"
-              !violations !gates_failed
-              (if expect_bug then " (expecting a bug)" else "");
-            if ok then `Ok () else exit 1)
+            run_verdict ~expect_bug ~out scn
+              ~reproduce:(fun f ->
+                Printf.sprintf
+                  "repro check --structures %s -n %d --ops %d --replay %s \
+                   --tail %s%s"
+                  f.structure n ops f.replay f.tail (mix_flag f))
+              ~summary:(fun o ->
+                Printf.sprintf "check: %d violation(s), %d failed gate(s)"
+                  (List.length o.failures) o.gates_failed))
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       ret
         (const run $ mode_arg $ structures_arg $ n_arg $ ops_arg $ seed_arg
-       $ long_flag $ expect_bug_flag $ replay_arg $ mix_arg $ crash_arg
-       $ tail_arg $ check_out_arg))
+       $ Flags.long $ expect_bug_flag $ replay_arg $ mix_arg $ crash_arg
+       $ tail_arg $ Flags.artifact_dir))
 
 (* `repro chaos`: the chaos layer's CLI.  Phase 1 fuzzes the checkable
    structures under randomly instantiated fault plans (crash–recovery,
@@ -1063,7 +1101,6 @@ let chaos_cmd =
             "Skip the graceful-degradation sweep (experiment `chaos`) after \
              the fuzz phase.")
   in
-  let chaos_out_arg = Flags.artifact_dir in
   let run faults structures n ops seed trials quick expect_bug no_sweep
       no_manifest replay mix out =
     let spec_result =
@@ -1077,176 +1114,90 @@ let chaos_cmd =
           if quick then Check.Chaos.default.trials / 4
           else Check.Chaos.default.trials
     in
-    match (parse_structures structures, spec_result) with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok _, _ when n < 1 || ops < 1 || n * ops > 62 ->
-        `Error (false, "need n >= 1, ops >= 1 and n*ops <= 62")
-    | Ok _, _ when trials < 1 -> `Error (false, "--trials must be at least 1")
-    | Ok structs, Ok spec -> (
-        match Sched.Fault_plan.validate ~n spec.Sched.Fault_plan.base with
-        | Error msg -> `Error (false, "--faults: " ^ msg)
-        | Ok () -> (
-            match replay with
-            | Some sched_string -> (
-                match structs with
-                | [ structure ] ->
-                    if spec.Sched.Fault_plan.rates <> Sched.Fault_plan.zero_rates
-                    then
-                      `Error
-                        ( false,
-                          "--replay needs an explicit fault plan (events and \
-                           casfail:P=R entries only, no ~rates)" )
-                    else begin
-                      let schedule =
-                        Sched.Scheduler.replay_of_string sched_string
-                      in
-                      let scn =
-                        Scenario.make ~n ~ops ~seed ?mix_seed:mix ~faults:spec
-                          ~sources:
-                            [
-                              Scenario.Replay
-                                {
-                                  schedule;
-                                  tail = Check.Schedule.Round_robin;
-                                };
-                            ]
-                          ~gates:[ Scenario.Lin ]
-                          ~structures:[ structure.Scu.Checkable.name ]
-                          ()
-                      in
-                      let bad = ref false in
-                      let on_event = function
-                        | Scenario.Replay_done { structure; outcome } ->
-                            Printf.printf "%s: %s\n  effective schedule: %s\n"
-                              structure
-                              (Check.Schedule.verdict_to_string outcome.verdict)
-                              (Sched.Scheduler.replay_to_string
-                                 outcome.executed);
-                            bad := Check.Schedule.is_bad outcome.verdict
-                        | _ -> ()
-                      in
-                      ignore
-                        (Scenario.run ~on_event ~now scn : Scenario.outcome);
-                      if !bad = expect_bug then `Ok () else exit 1
-                    end
-                | _ ->
-                    `Error (false, "--replay needs exactly one --structures name"))
-            | None ->
-                let config = { Check.Chaos.default with trials; seed } in
-                let violations = ref 0 in
-                let artifact_id = ref 0 in
-                let manifest =
-                  Telemetry.Manifest.create
-                    ~command:(List.tl (Array.to_list Sys.argv))
-                    ~ids:(if no_sweep then [] else [ "chaos" ])
-                    ~quick ~seed ~jobs:1 ~cache_enabled:false ()
-                in
-                Telemetry.Manifest.set_faults manifest
-                  (Sched.Fault_plan.spec_to_string spec);
-                let spec_of (f : Check.Chaos.failure) =
-                  if f.fault_spec = "" then "none" else f.fault_spec
-                in
-                let write_artifact (f : Check.Chaos.failure) =
-                  Option.iter
-                    (fun dir ->
-                      Telemetry.Fsutil.mkdir_p dir;
-                      incr artifact_id;
-                      let path =
-                        Filename.concat dir
-                          (Printf.sprintf "%s-chaos-%d.txt" f.structure
-                             !artifact_id)
-                      in
-                      let oc = open_out path in
-                      Printf.fprintf oc
-                        "structure: %s\nsource: chaos\nn: %d\nops: %d\n\
-                         mix-seed: %d\nfaults: %s\ntail: round-robin\n\
-                         schedule: %s\n\n%s\n"
-                        f.structure n ops f.mix_seed (spec_of f) f.replay
-                        f.verdict;
-                      close_out oc;
-                      Printf.eprintf "wrote %s\n%!" path)
-                    out
-                in
-                let t0 = now () in
-                let scn =
-                  Scenario.make ~n ~ops ~seed ~faults:spec
-                    ~sources:[ Scenario.Chaos ]
-                    ~gates:[ Scenario.Lin ]
-                    ~budget:
-                      {
-                        Scenario.standard.budget with
-                        chaos_trials = config.trials;
-                      }
-                    ~structures:
-                      (List.map (fun (s : Scu.Checkable.t) -> s.name) structs)
-                    ()
-                in
-                let on_event = function
-                  | Scenario.Chaos_done { structure; report = r; elapsed } ->
-                      Printf.printf "[chaos]   %-14s trials=%d failures=%d\n"
-                        structure r.trials
-                        (List.length r.failures);
-                      Printf.eprintf "  [chaos] %s: %.2fs\n%!" structure
-                        elapsed;
-                      List.iter
-                        (fun (f : Check.Chaos.failure) ->
-                          incr violations;
-                          Printf.printf
-                            "VIOLATION [%s/chaos]\n  schedule: %s\n  faults: \
-                             %s\n\
-                            \  %s\n"
-                            f.structure f.replay (spec_of f) f.verdict;
-                          Printf.printf
-                            "  replay: repro chaos --structures %s -n %d \
-                             --ops %d --replay %s --faults %s --mix-seed %d \
-                             --no-sweep\n"
-                            f.structure n ops f.replay (spec_of f) f.mix_seed;
-                          write_artifact f)
-                        r.failures
-                  | _ -> ()
-                in
-                ignore (Scenario.run ~on_event ~now scn : Scenario.outcome);
-                if not no_sweep then begin
-                  match Experiments.Exp.find "chaos" with
-                  | None -> ()
-                  | Some e ->
-                      let budget = Experiments.Exp.budget ~quick ~seed () in
-                      let t1 = now () in
-                      let table = Experiments.Exp.table ~budget e in
-                      Telemetry.Manifest.record_experiment manifest ~id:e.id
-                        ~title:e.title ~elapsed:(now () -. t1);
-                      print_string (Experiments.Exp.render_table e table);
-                      print_newline ()
-                end;
-                Telemetry.Manifest.set_elapsed manifest (now () -. t0);
-                if not no_manifest then begin
-                  match Telemetry.Manifest.write ~dir:runs_dir manifest with
-                  | path -> Printf.eprintf "manifest: %s\n%!" path
-                  | exception Sys_error msg ->
-                      Printf.eprintf "manifest: skipped (%s)\n%!" msg
-                end;
-                let ok =
-                  if expect_bug then !violations > 0 else !violations = 0
-                in
-                Printf.printf "chaos: %d violation(s) across %d structure(s)%s\n"
-                  !violations (List.length structs)
-                  (if expect_bug then " (expecting a bug)" else "");
-                if ok then `Ok () else exit 1))
+    let ( let* ) = Result.bind in
+    let parsed =
+      let* structs = parse_structures structures in
+      let* spec = spec_result in
+      let* () = check_workload ~n ~ops in
+      let* () =
+        if trials < 1 then Error "--trials must be at least 1" else Ok ()
+      in
+      let* () =
+        Result.map_error
+          (fun msg -> "--faults: " ^ msg)
+          (Sched.Fault_plan.validate ~n spec.Sched.Fault_plan.base)
+      in
+      Ok (structs, spec)
+    in
+    match (parsed, replay) with
+    | Error msg, _ -> `Error (false, msg)
+    | Ok (_, spec), Some _
+      when spec.Sched.Fault_plan.rates <> Sched.Fault_plan.zero_rates ->
+        `Error
+          ( false,
+            "--replay needs an explicit fault plan (events and casfail:P=R \
+             entries only, no ~rates)" )
+    | Ok (structs, spec), Some sched ->
+        replay_one ~structs ~n ~ops ~seed ~mix ~faults:spec
+          ~tail:Check.Schedule.Round_robin ~expect_bug sched
+    | Ok (structs, spec), None ->
+        let t0 = now () in
+        let manifest =
+          Telemetry.Manifest.create
+            ~command:(List.tl (Array.to_list Sys.argv))
+            ~ids:(if no_sweep then [] else [ "chaos" ])
+            ~quick ~seed ~jobs:1 ~cache_enabled:false ()
+        in
+        Telemetry.Manifest.set_faults manifest
+          (Sched.Fault_plan.spec_to_string spec);
+        (* Phase 2 and the manifest, between the fuzz phase and the
+           summary line. *)
+        let finish () =
+          (if not no_sweep then
+             match Experiments.Exp.find "chaos" with
+             | None -> ()
+             | Some e ->
+                 let budget = Experiments.Exp.budget ~quick ~seed () in
+                 let t1 = now () in
+                 let table = Experiments.Exp.table ~budget e in
+                 Telemetry.Manifest.record_experiment manifest ~id:e.id
+                   ~title:e.title ~elapsed:(now () -. t1);
+                 print_string (Experiments.Exp.render_table e table);
+                 print_newline ());
+          Telemetry.Manifest.set_elapsed manifest (now () -. t0);
+          if not no_manifest then
+            match Telemetry.Manifest.write ~dir:runs_dir manifest with
+            | path -> Printf.eprintf "manifest: %s\n%!" path
+            | exception Sys_error msg ->
+                Printf.eprintf "manifest: skipped (%s)\n%!" msg
+        in
+        let scn =
+          Scenario.make ~n ~ops ~seed ~faults:spec ~sources:[ Scenario.Chaos ]
+            ~gates:[ Scenario.Lin ]
+            ~budget:{ Scenario.standard.budget with chaos_trials = trials }
+            ~structures:(structure_names structs) ()
+        in
+        run_verdict ~finish ~expect_bug ~out scn
+          ~reproduce:(fun f ->
+            Printf.sprintf
+              "repro chaos --structures %s -n %d --ops %d --replay %s --faults \
+               %s%s --no-sweep"
+              f.structure n ops f.replay (faults_of f) (mix_flag f))
+          ~summary:(fun o ->
+            Printf.sprintf "chaos: %d violation(s) across %d structure(s)"
+              (List.length o.failures) (List.length structs))
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       ret
         (const run $ faults_arg $ structures_arg $ n_arg $ ops_arg $ seed_arg
        $ trials_arg $ quick $ expect_bug_flag $ no_sweep_flag
-       $ no_manifest_flag $ replay_arg $ mix_arg $ chaos_out_arg))
+       $ no_manifest_flag $ replay_arg $ mix_arg $ Flags.artifact_dir))
 
 (* `repro scenario`: the scenario DSL's own CLI — named presets
    (quick/standard/century/chaos), the --spec grammar, and flag
-   overrides on top of either.  Unlike `check`/`chaos` (whose stdout
-   is frozen for compatibility), this command owns its format:
-   progress lines per (source, structure), VIOLATION blocks with a
-   self-contained `repro scenario --spec` reproduction command, and
-   --out artifacts that embed the failing scenario spec. *)
+   overrides on top of either.  Its replay line is a self-contained
+   `repro scenario --spec` command. *)
 let scenario_cmd =
   let doc =
     "Run a declarative scenario: a named preset (quick, standard, century, \
@@ -1316,45 +1267,6 @@ let scenario_cmd =
             "Print the resolved scenario's canonical --spec value and exit \
              without running it.")
   in
-  let out_arg = Flags.artifact_dir in
-  (* A failure's one-shot reproduction scenario: same workload, the
-     failure's own mix seed, its shrunk fault plan (explicit events
-     only) plus any crash plan, a fixed replay source, and both
-     history gates. *)
-  let replay_scenario (scn : Scenario.t) (f : Scenario.failure) =
-    let faults =
-      let of_events =
-        match Sched.Fault_plan.parse_spec f.fault_spec with
-        | Ok s -> s
-        | Error _ ->
-            {
-              Sched.Fault_plan.base = Sched.Fault_plan.none;
-              rates = Sched.Fault_plan.zero_rates;
-            }
-      in
-      {
-        of_events with
-        Sched.Fault_plan.base =
-          Sched.Fault_plan.merge
-            (Sched.Fault_plan.of_crash_events f.crash_plan)
-            of_events.Sched.Fault_plan.base;
-      }
-    in
-    Scenario.make ~n:scn.Scenario.n ~ops:scn.Scenario.ops
-      ~seed:scn.Scenario.seed ?mix_seed:f.mix_seed ~faults
-      ~sources:
-        [
-          Scenario.Replay
-            {
-              schedule = f.schedule;
-              tail =
-                (if f.tail = "round-robin" then Check.Schedule.Round_robin
-                 else Check.Schedule.Stop);
-            };
-        ]
-      ~gates:[ Scenario.Lin; Scenario.Shadow ]
-      ~structures:[ f.structure ] ()
-  in
   let run preset spec structures n ops seed list print expect_bug out =
     if list then begin
       List.iter
@@ -1364,154 +1276,60 @@ let scenario_cmd =
       `Ok ()
     end
     else
-      let base =
-        match (preset, spec) with
-        | Some _, Some _ -> Error "--preset and --spec are mutually exclusive"
-        | Some name, None -> (
-            match Scenario.preset name with
-            | Some p -> Ok p
-            | None ->
-                Error
+      let ( let* ) = Result.bind in
+      let resolved =
+        let* base =
+          match (preset, spec) with
+          | Some _, Some _ -> Error "--preset and --spec are mutually exclusive"
+          | Some name, None ->
+              Option.to_result (Scenario.preset name)
+                ~none:
                   (Printf.sprintf "unknown --preset %S (known: %s)" name
-                     (String.concat ", " (List.map fst Scenario.presets))))
-        | None, Some s -> Scenario.parse s
-        | None, None -> Ok Scenario.standard
+                     (String.concat ", " (List.map fst Scenario.presets)))
+          | None, Some s -> Scenario.parse s
+          | None, None -> Ok Scenario.standard
+        in
+        let* base =
+          match structures with
+          | None -> Ok base
+          | Some s ->
+              Result.map
+                (fun structs ->
+                  Scenario.with_structures (structure_names structs) base)
+                (parse_structures s)
+        in
+        let scn =
+          base
+          |> Scenario.with_workload
+               ~n:(Option.value n ~default:base.n)
+               ~ops:(Option.value ops ~default:base.ops)
+          |> Scenario.with_seed (Option.value seed ~default:base.seed)
+        in
+        Result.map (fun () -> scn) (Scenario.validate scn)
       in
-      let base =
-        Result.bind base (fun b ->
-            match structures with
-            | None -> Ok b
-            | Some s -> (
-                match parse_structures s with
-                | Ok structs ->
-                    Ok
-                      (Scenario.with_structures
-                         (List.map
-                            (fun (t : Scu.Checkable.t) -> t.name)
-                            structs)
-                         b)
-                | Error msg -> Error msg))
-      in
-      match base with
+      match resolved with
       | Error msg -> `Error (false, msg)
-      | Ok scn -> (
-          let scn =
-            scn
-            |> Scenario.with_workload
-                 ~n:(Option.value n ~default:scn.Scenario.n)
-                 ~ops:(Option.value ops ~default:scn.Scenario.ops)
-          in
-          let scn =
-            match seed with
-            | None -> scn
-            | Some s -> Scenario.with_seed s scn
-          in
-          match Scenario.validate scn with
-          | Error msg -> `Error (false, msg)
-          | Ok () ->
-              if print then begin
-                print_endline (Scenario.to_string scn);
-                `Ok ()
-              end
-              else begin
-                Printf.printf "scenario: %s\n" (Scenario.to_string scn);
-                let gates_failed = ref 0 in
-                let on_event = function
-                  | Scenario.Explore_done { structure; report = r; elapsed }
-                    ->
-                      Printf.printf
-                        "[explore] %-18s nodes=%d terminals=%d \
-                         violations=%d exhausted=%b (%.2fs)\n"
-                        structure r.nodes r.terminals
-                        (List.length r.violations)
-                        r.exhausted elapsed
-                  | Scenario.Fuzz_done { structure; report = r; elapsed } ->
-                      Printf.printf
-                        "[fuzz]    %-18s trials=%d failures=%d (%.2fs)\n"
-                        structure r.trials
-                        (List.length r.failures)
-                        elapsed
-                  | Scenario.Chaos_done { structure; report = r; elapsed } ->
-                      Printf.printf
-                        "[chaos]   %-18s trials=%d failures=%d (%.2fs)\n"
-                        structure r.trials
-                        (List.length r.failures)
-                        elapsed
-                  | Scenario.Replay_done { structure; outcome } ->
-                      Printf.printf "[replay]  %-18s %s\n" structure
-                        (Check.Schedule.verdict_to_string outcome.verdict)
-                  | Scenario.Load_done
-                      { structure; completed; verdict; elapsed } ->
-                      Printf.printf
-                        "[load]    %-18s completed=%d %s (%.2fs)\n" structure
-                        completed
-                        (Check.Schedule.verdict_to_string verdict)
-                        elapsed
-                  | Scenario.Conform_done { report = r; elapsed } ->
-                      List.iter
-                        (fun (g : Check.Conform.gate) ->
-                          if not g.passed then incr gates_failed;
-                          Printf.printf "[conform] %s %-24s %s\n"
-                            (if g.passed then "PASS" else "FAIL")
-                            g.name g.detail)
-                        r.gates;
-                      Printf.printf "[conform] %s in %.1fs\n"
-                        (if r.passed then "all gates passed"
-                         else "GATES FAILED")
-                        elapsed
-                in
-                let outcome = Scenario.run ~on_event ~now scn in
-                let artifact_id = ref 0 in
-                List.iter
-                  (fun (f : Scenario.failure) ->
-                    let repro_spec = Scenario.to_string (replay_scenario scn f) in
-                    Printf.printf "VIOLATION [%s/%s]\n  schedule: %s\n  %s\n"
-                      f.structure f.source f.replay f.verdict;
-                    Printf.printf "  replay: repro scenario --spec '%s'\n"
-                      repro_spec;
-                    Option.iter
-                      (fun dir ->
-                        Telemetry.Fsutil.mkdir_p dir;
-                        incr artifact_id;
-                        let path =
-                          Filename.concat dir
-                            (Printf.sprintf "%s-%s-%d.scenario" f.structure
-                               f.source !artifact_id)
-                        in
-                        let oc = open_out path in
-                        Printf.fprintf oc
-                          "spec: %s\nreplay-spec: %s\nstructure: %s\n\
-                           source: %s\nschedule: %s\nfaults: %s\nmix-seed: \
-                           %s\ntail: %s\n\n%s\n"
-                          (Scenario.to_string scn)
-                          repro_spec f.structure f.source f.replay
-                          (if f.fault_spec = "" then "none" else f.fault_spec)
-                          (match f.mix_seed with
-                          | None -> "-"
-                          | Some m -> string_of_int m)
-                          f.tail f.verdict;
-                        close_out oc;
-                        Printf.eprintf "wrote %s\n%!" path)
-                      out)
-                  outcome.failures;
-                let violations = List.length outcome.failures in
-                let ok =
-                  if expect_bug then violations > 0
-                  else violations = 0 && !gates_failed = 0
-                in
-                Printf.printf
-                  "scenario: %d violation(s), %d failed gate(s) across %d \
-                   trial(s)%s\n"
-                  violations !gates_failed outcome.trials
-                  (if expect_bug then " (expecting a bug)" else "");
-                if ok then `Ok () else exit 1
-              end)
+      | Ok scn when print ->
+          print_endline (Scenario.to_string scn);
+          `Ok ()
+      | Ok scn ->
+          run_verdict ~expect_bug ~out scn
+            ~header:("scenario: " ^ Scenario.to_string scn)
+            ~reproduce:(fun f ->
+              Printf.sprintf "repro scenario --spec '%s'"
+                (Scenario.to_string (replay_scenario scn f)))
+            ~summary:(fun o ->
+              Printf.sprintf
+                "scenario: %d violation(s), %d failed gate(s) across %d \
+                 trial(s)"
+                (List.length o.failures) o.gates_failed o.trials)
   in
   Cmd.v (Cmd.info "scenario" ~doc)
     Term.(
       ret
         (const run $ preset_arg $ spec_arg $ structures_arg $ n_arg $ ops_arg
-       $ seed_arg $ list_flag $ print_flag $ expect_bug_flag $ out_arg))
+       $ seed_arg $ list_flag $ print_flag $ expect_bug_flag
+       $ Flags.artifact_dir))
 
 (* `repro load` / `repro serve`: the live SCU service and its load
    generator.  Millions of simulated client sessions are multiplexed
@@ -1707,43 +1525,53 @@ module Load_cli = struct
         | a -> Error ("unknown --arrival: " ^ a))
     | m -> Error ("unknown --mode: " ^ m)
 
-  let config ~structures ~clients ~ops ~workers ~shards ~mode ~think ~arrival
-      ~rate ~burst ~idle ~alpha ~objects ~seed ~faults ~deadline ~retries
-      ~backoff ~hedge ~max_steps =
-    match
-      ( parse_kinds structures,
-        parse_mode ~mode ~think ~arrival ~rate ~burst ~idle,
-        parse_faults faults )
-    with
-    | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> Error msg
-    | Ok kinds, Ok mode, Ok faults -> (
-        let policy =
-          {
-            Load.Policy.deadline = (if deadline > 0 then Some deadline else None);
-            max_retries = retries;
-            backoff_base = backoff;
-            hedge_after = (if hedge > 0 then Some hedge else None);
-          }
-        in
-        let cfg =
-          {
-            Load.Engine.kinds;
-            objects;
-            clients;
-            ops_per_client = ops;
-            workers;
-            shards;
-            mode;
-            alpha;
-            seed;
-            max_steps;
-            faults;
-            policy;
-          }
-        in
-        match Load.Engine.validate cfg with
-        | Ok () -> Ok cfg
-        | Error msg -> Error msg)
+  (* The 20 service flags of `load` and `serve`, validated into one
+     engine config.  The raw --faults string rides along: `load
+     --expect-degraded` needs the tier name. *)
+  let config =
+    let make structures clients ops workers shards mode think arrival rate
+        burst idle alpha objects seed faults deadline retries backoff hedge
+        max_steps =
+      match
+        ( parse_kinds structures,
+          parse_mode ~mode ~think ~arrival ~rate ~burst ~idle,
+          parse_faults faults )
+      with
+      | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> Error msg
+      | Ok kinds, Ok mode, Ok spec ->
+          let policy =
+            {
+              Load.Policy.deadline =
+                (if deadline > 0 then Some deadline else None);
+              max_retries = retries;
+              backoff_base = backoff;
+              hedge_after = (if hedge > 0 then Some hedge else None);
+            }
+          in
+          let cfg =
+            {
+              Load.Engine.kinds;
+              objects;
+              clients;
+              ops_per_client = ops;
+              workers;
+              shards;
+              mode;
+              alpha;
+              seed;
+              max_steps;
+              faults = spec;
+              policy;
+            }
+          in
+          Result.map (fun () -> (faults, cfg)) (Load.Engine.validate cfg)
+    in
+    Term.(
+      term_result'
+        (const make $ structures_arg $ clients_arg $ ops_arg $ workers_arg
+       $ shards_arg $ mode_arg $ think_arg $ arrival_arg $ rate_arg $ burst_arg
+       $ idle_arg $ alpha_arg $ objects_arg $ seed_arg $ faults_arg
+       $ deadline_arg $ retries_arg $ backoff_arg $ hedge_arg $ max_steps_arg))
 end
 
 let load_cmd =
@@ -1791,173 +1619,161 @@ let load_cmd =
              crash cross-check); exit non-zero on any gate failure.  \
              Requires --faults with a named tier.")
   in
-  let run structures clients ops workers shards mode think arrival rate burst
-      idle alpha objects seed jobs no_progress out faults deadline retries
-      backoff hedge max_steps slo ns slo_requests expect_pass expect_degraded =
-    match
-      Load_cli.config ~structures ~clients ~ops ~workers ~shards ~mode ~think
-        ~arrival ~rate ~burst ~idle ~alpha ~objects ~seed ~faults ~deadline
-        ~retries ~backoff ~hedge ~max_steps
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok _ when expect_pass && not slo ->
-        `Error (false, "--expect-pass requires --slo")
-    | Ok _ when expect_degraded && Load.Degrade.budgets_for_tier faults = None
-      ->
-        `Error
-          ( false,
-            "--expect-degraded requires --faults with a named tier (quick, \
-             standard, century, chaos)" )
-    | Ok cfg -> (
-        (* Parse --ns eagerly and reject bad tokens by name.  The old
-           code mapped any [Failure] to the empty list, so a typo like
-           --ns 2,4,x was silently ignored without --slo and produced
-           the misleading "needs at least two worker counts" with it. *)
-        let ns_tokens =
-          List.filter (fun x -> x <> "") (String.split_on_char ',' ns)
+  let run (faults, (cfg : Load.Engine.config)) jobs no_progress out slo ns
+      slo_requests expect_pass expect_degraded =
+    if expect_pass && not slo then
+      `Error (false, "--expect-pass requires --slo")
+    else if expect_degraded && Load.Degrade.budgets_for_tier faults = None
+    then
+      `Error
+        ( false,
+          "--expect-degraded requires --faults with a named tier (quick, \
+           standard, century, chaos)" )
+    else (
+      (* Parse --ns eagerly and reject bad tokens by name.  The old
+         code mapped any [Failure] to the empty list, so a typo like
+         --ns 2,4,x was silently ignored without --slo and produced
+         the misleading "needs at least two worker counts" with it. *)
+      let ns_tokens =
+        List.filter (fun x -> x <> "") (String.split_on_char ',' ns)
+      in
+      let bad_ns =
+        List.find_opt
+          (fun x -> Option.is_none (int_of_string_opt x))
+          ns_tokens
+      in
+      match bad_ns with
+      | Some tok ->
+          `Error
+            ( false,
+              Printf.sprintf "--ns: %S is not an integer worker count" tok )
+      | None ->
+      let ns = List.map int_of_string ns_tokens in
+      if slo && List.length ns < 2 then
+        `Error (false, "--ns needs at least two worker counts")
+      else if jobs < 1 then `Error (false, "-j must be at least 1")
+      else if slo_requests < 1 then
+        `Error (false, "--slo-requests must be positive")
+      else begin
+        let t0 = now () in
+        let result, degrade_gates =
+          Pool.with_pool ~size:jobs (fun pool ->
+              if not expect_degraded then (Load.Engine.run ~pool cfg, None)
+              else
+                match Load.Degrade.run ~pool ~tier:faults cfg with
+                | Error msg -> failwith msg
+                | Ok d ->
+                    let crash =
+                      if cfg.workers >= 2 then
+                        Load.Degrade.crash_check ~pool
+                          ~k:(max 1 (cfg.workers / 2))
+                          cfg
+                      else []
+                    in
+                    (d.faulted, Some (d.gates @ crash)))
         in
-        let bad_ns =
-          List.find_opt
-            (fun x -> Option.is_none (int_of_string_opt x))
-            ns_tokens
+        if not no_progress then
+          Printf.eprintf "[load] %d request(s) in %.2fs (j=%d)\n%!"
+            result.requests (now () -. t0) jobs;
+        let gates =
+          if not slo then None
+          else
+            Some
+              (List.concat_map
+                 (fun kind ->
+                   match Load.Slo.params_of_kind kind with
+                   | None ->
+                       [
+                         Check.Conform.gate
+                           ("slo-" ^ Load.Engine.kind_name kind
+                          ^ "-unclassified")
+                           true
+                           "no SCU(q, s) classification (helping scan is \
+                            Theta(n) per attempt); not gated";
+                       ]
+                   | Some _ ->
+                       let t1 = now () in
+                       let s =
+                         Load.Slo.run ~ns
+                           ~requests_per_point:slo_requests ~kind
+                           ~seed:cfg.seed ()
+                       in
+                       if not no_progress then
+                         Printf.eprintf "[slo] %s sweep in %.2fs\n%!"
+                           (Load.Engine.kind_name kind)
+                           (now () -. t1);
+                       s.gates)
+                 cfg.kinds)
         in
-        match bad_ns with
-        | Some tok ->
-            `Error
-              ( false,
-                Printf.sprintf "--ns: %S is not an integer worker count" tok )
-        | None ->
-        let ns = List.map int_of_string ns_tokens in
-        if slo && List.length ns < 2 then
-          `Error (false, "--ns needs at least two worker counts")
-        else if jobs < 1 then `Error (false, "-j must be at least 1")
-        else if slo_requests < 1 then
-          `Error (false, "--slo-requests must be positive")
-        else begin
-          let t0 = now () in
-          let result, degrade_gates =
-            Pool.with_pool ~size:jobs (fun pool ->
-                if not expect_degraded then (Load.Engine.run ~pool cfg, None)
-                else
-                  match Load.Degrade.run ~pool ~tier:faults cfg with
-                  | Error msg -> failwith msg
-                  | Ok d ->
-                      let crash =
-                        if cfg.workers >= 2 then
-                          Load.Degrade.crash_check ~pool
-                            ~k:(max 1 (cfg.workers / 2))
-                            cfg
-                        else []
-                      in
-                      (d.faulted, Some (d.gates @ crash)))
-          in
-          if not no_progress then
-            Printf.eprintf "[load] %d request(s) in %.2fs (j=%d)\n%!"
-              result.requests (now () -. t0) jobs;
-          let gates =
-            if not slo then None
-            else
-              Some
-                (List.concat_map
-                   (fun kind ->
-                     match Load.Slo.params_of_kind kind with
-                     | None ->
-                         [
-                           Check.Conform.gate
-                             ("slo-" ^ Load.Engine.kind_name kind
-                            ^ "-unclassified")
-                             true
-                             "no SCU(q, s) classification (helping scan is \
-                              Theta(n) per attempt); not gated";
-                         ]
-                     | Some _ ->
-                         let t1 = now () in
-                         let s =
-                           Load.Slo.run ~ns
-                             ~requests_per_point:slo_requests ~kind ~seed ()
-                         in
-                         if not no_progress then
-                           Printf.eprintf "[slo] %s sweep in %.2fs\n%!"
-                             (Load.Engine.kind_name kind)
-                             (now () -. t1);
-                         s.gates)
-                   cfg.kinds)
-          in
-          let error_budget =
-            if Load.Engine.is_robust cfg then
-              Some (Load.Report.error_budget result)
-            else None
-          in
-          let report =
-            Load.Report.of_result ?slo:gates ?degrade:degrade_gates
-              ?error_budget result
-          in
-          print_string (Load.Report.render report);
-          match
-            Option.iter
-              (fun file ->
-                Telemetry.Load_report.write ~file report;
-                Printf.eprintf "manifest: %s\n%!" file)
-              out
-          with
-          | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
-          | () ->
-            let gates_failed =
-              match gates with
-              | None -> 0
-              | Some gs ->
-                  List.length
-                    (List.filter
-                       (fun (g : Check.Conform.gate) -> not g.passed)
-                       gs)
-            in
-            (match gates with
+        let error_budget =
+          if Load.Engine.is_robust cfg then
+            Some (Load.Report.error_budget result)
+          else None
+        in
+        let report =
+          Load.Report.of_result ?slo:gates ?degrade:degrade_gates
+            ?error_budget result
+        in
+        print_string (Load.Report.render report);
+        match
+          Option.iter
+            (fun file ->
+              Telemetry.Load_report.write ~file report;
+              Printf.eprintf "manifest: %s\n%!" file)
+            out
+        with
+        | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
+        | () ->
+          let gates_failed =
+            match gates with
+            | None -> 0
             | Some gs ->
-                Printf.printf "load: %d SLO gate(s), %d failed\n"
-                  (List.length gs) gates_failed
-            | None -> ());
-            let degrade_failed =
-              match degrade_gates with
-              | None -> 0
-              | Some gs ->
-                  List.length
-                    (List.filter
-                       (fun (g : Check.Conform.gate) -> not g.passed)
-                       gs)
-            in
-            (match degrade_gates with
+                List.length
+                  (List.filter
+                     (fun (g : Check.Conform.gate) -> not g.passed)
+                     gs)
+          in
+          (match gates with
+          | Some gs ->
+              Printf.printf "load: %d SLO gate(s), %d failed\n"
+                (List.length gs) gates_failed
+          | None -> ());
+          let degrade_failed =
+            match degrade_gates with
+            | None -> 0
             | Some gs ->
-                Printf.printf "load: %d degradation gate(s), %d failed\n"
-                  (List.length gs) degrade_failed
-            | None -> ());
-            (match Load.Engine.stopped_shards result with
-            | [] -> ()
-            | ids ->
-                Printf.eprintf
-                  "load: shard%s %s stopped early at the step budget \
-                   (--max-steps %d)\n\
-                   %!"
-                  (if List.length ids = 1 then "" else "s")
-                  (String.concat "," (List.map string_of_int ids))
-                  cfg.max_steps;
-                exit 1);
-            if degrade_failed > 0 then exit 1;
-            if expect_pass && gates_failed > 0 then exit 1;
-            `Ok ()
-        end)
+                List.length
+                  (List.filter
+                     (fun (g : Check.Conform.gate) -> not g.passed)
+                     gs)
+          in
+          (match degrade_gates with
+          | Some gs ->
+              Printf.printf "load: %d degradation gate(s), %d failed\n"
+                (List.length gs) degrade_failed
+          | None -> ());
+          (match Load.Engine.stopped_shards result with
+          | [] -> ()
+          | ids ->
+              Printf.eprintf
+                "load: shard%s %s stopped early at the step budget \
+                 (--max-steps %d)\n\
+                 %!"
+                (if List.length ids = 1 then "" else "s")
+                (String.concat "," (List.map string_of_int ids))
+                cfg.max_steps;
+              exit 1);
+          if degrade_failed > 0 then exit 1;
+          if expect_pass && gates_failed > 0 then exit 1;
+          `Ok ()
+      end)
   in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(
       ret
-        (const run $ Load_cli.structures_arg $ Load_cli.clients_arg
-       $ Load_cli.ops_arg $ Load_cli.workers_arg $ Load_cli.shards_arg
-       $ Load_cli.mode_arg $ Load_cli.think_arg $ Load_cli.arrival_arg
-       $ Load_cli.rate_arg $ Load_cli.burst_arg $ Load_cli.idle_arg
-       $ Load_cli.alpha_arg $ Load_cli.objects_arg $ seed_arg $ jobs_arg
-       $ progress_flag $ Load_cli.out_arg $ Load_cli.faults_arg
-       $ Load_cli.deadline_arg $ Load_cli.retries_arg $ Load_cli.backoff_arg
-       $ Load_cli.hedge_arg $ Load_cli.max_steps_arg $ slo_flag $ ns_arg
-       $ slo_requests_arg $ expect_pass_flag $ expect_degraded_flag))
+        (const run $ Load_cli.config $ jobs_arg $ progress_flag
+       $ Load_cli.out_arg $ slo_flag $ ns_arg $ slo_requests_arg
+       $ expect_pass_flag $ expect_degraded_flag))
 
 let serve_cmd =
   let doc =
@@ -1981,97 +1797,82 @@ let serve_cmd =
              degraded, more than 10x is breached; only reported for faulted \
              or policy-bearing runs.")
   in
-  let run structures clients ops workers shards mode think arrival rate burst
-      idle alpha objects seed jobs no_progress out faults deadline retries
-      backoff hedge max_steps windows slo_target =
-    match
-      Load_cli.config ~structures ~clients ~ops ~workers ~shards ~mode ~think
-        ~arrival ~rate ~burst ~idle ~alpha ~objects ~seed ~faults ~deadline
-        ~retries ~backoff ~hedge ~max_steps
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok cfg ->
-        if windows < 1 then `Error (false, "--windows must be at least 1")
-        else if jobs < 1 then `Error (false, "-j must be at least 1")
-        else if not (slo_target > 0. && slo_target < 1.) then
-          `Error (false, "--slo-target must be strictly between 0 and 1")
-        else begin
-          match
-            Option.map
-              (fun file ->
-                (match Filename.dirname file with
-                | "" | "." -> ()
-                | dir -> Telemetry.Fsutil.mkdir_p dir);
-                open_out file)
-              out
-          with
-          | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
-          | oc ->
-            let robust = Load.Engine.is_robust cfg in
-            let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
-            let worst_burn = ref 0. in
-            Pool.with_pool ~size:jobs (fun pool ->
-                for w = 0 to windows - 1 do
-                  let t0 = now () in
-                  let cfg_w =
-                    { cfg with Load.Engine.seed = Load.Workload.mix seed w }
+  let run (_, (cfg : Load.Engine.config)) jobs no_progress out
+      windows slo_target =
+    if windows < 1 then `Error (false, "--windows must be at least 1")
+    else if jobs < 1 then `Error (false, "-j must be at least 1")
+    else if not (slo_target > 0. && slo_target < 1.) then
+      `Error (false, "--slo-target must be strictly between 0 and 1")
+    else begin
+      match
+        Option.map
+          (fun file ->
+            (match Filename.dirname file with
+            | "" | "." -> ()
+            | dir -> Telemetry.Fsutil.mkdir_p dir);
+            open_out file)
+          out
+      with
+      | exception Sys_error msg -> `Error (false, "--out: " ^ msg)
+      | oc ->
+        let robust = Load.Engine.is_robust cfg in
+        let ok_w = ref 0 and degraded_w = ref 0 and breached_w = ref 0 in
+        let worst_burn = ref 0. in
+        Pool.with_pool ~size:jobs (fun pool ->
+            for w = 0 to windows - 1 do
+              let t0 = now () in
+              let cfg_w =
+                { cfg with Load.Engine.seed = Load.Workload.mix cfg.seed w }
+              in
+              let result = Load.Engine.run ~pool cfg_w in
+              if not no_progress then
+                Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!"
+                  w result.requests (now () -. t0);
+              let error_budget =
+                if robust then begin
+                  let eb =
+                    Load.Report.error_budget ~target:slo_target result
                   in
-                  let result = Load.Engine.run ~pool cfg_w in
-                  if not no_progress then
-                    Printf.eprintf "[serve] window %d: %d request(s) in %.2fs\n%!"
-                      w result.requests (now () -. t0);
-                  let error_budget =
-                    if robust then begin
-                      let eb =
-                        Load.Report.error_budget ~target:slo_target result
-                      in
-                      (match eb.verdict with
-                      | "ok" -> incr ok_w
-                      | "degraded" -> incr degraded_w
-                      | _ -> incr breached_w);
-                      if eb.burn > !worst_burn then worst_burn := eb.burn;
-                      Some eb
-                    end
-                    else None
-                  in
-                  let report =
-                    Load.Report.of_result ~window:w ?error_budget result
-                  in
-                  print_string (Load.Report.render report);
-                  Option.iter
-                    (fun oc ->
-                      output_string oc
-                        (Telemetry.Load_report.to_string ~compact:true report);
-                      output_char oc '\n';
-                      flush oc)
-                    oc
-                done);
-            Option.iter close_out oc;
-            Option.iter
-              (fun file -> Printf.eprintf "manifest stream: %s\n%!" file)
-              out;
-            (* Soak verdict, only for runs that can burn budget: window
-               counts by health plus the worst burn rate seen. *)
-            if robust then
-              Printf.printf
-                "serve: %d window(s): ok=%d degraded=%d breached=%d \
-                 worst-burn=%.2f\n"
-                windows !ok_w !degraded_w !breached_w !worst_burn;
-            `Ok ()
-        end
+                  (match eb.verdict with
+                  | "ok" -> incr ok_w
+                  | "degraded" -> incr degraded_w
+                  | _ -> incr breached_w);
+                  if eb.burn > !worst_burn then worst_burn := eb.burn;
+                  Some eb
+                end
+                else None
+              in
+              let report =
+                Load.Report.of_result ~window:w ?error_budget result
+              in
+              print_string (Load.Report.render report);
+              Option.iter
+                (fun oc ->
+                  output_string oc
+                    (Telemetry.Load_report.to_string ~compact:true report);
+                  output_char oc '\n';
+                  flush oc)
+                oc
+            done);
+        Option.iter close_out oc;
+        Option.iter
+          (fun file -> Printf.eprintf "manifest stream: %s\n%!" file)
+          out;
+        (* Soak verdict, only for runs that can burn budget: window
+           counts by health plus the worst burn rate seen. *)
+        if robust then
+          Printf.printf
+            "serve: %d window(s): ok=%d degraded=%d breached=%d \
+             worst-burn=%.2f\n"
+            windows !ok_w !degraded_w !breached_w !worst_burn;
+        `Ok ()
+    end
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       ret
-        (const run $ Load_cli.structures_arg $ Load_cli.clients_arg
-       $ Load_cli.ops_arg $ Load_cli.workers_arg $ Load_cli.shards_arg
-       $ Load_cli.mode_arg $ Load_cli.think_arg $ Load_cli.arrival_arg
-       $ Load_cli.rate_arg $ Load_cli.burst_arg $ Load_cli.idle_arg
-       $ Load_cli.alpha_arg $ Load_cli.objects_arg $ seed_arg $ jobs_arg
-       $ progress_flag $ Load_cli.out_arg $ Load_cli.faults_arg
-       $ Load_cli.deadline_arg $ Load_cli.retries_arg $ Load_cli.backoff_arg
-       $ Load_cli.hedge_arg $ Load_cli.max_steps_arg $ windows_arg
-       $ slo_target_arg))
+        (const run $ Load_cli.config $ jobs_arg $ progress_flag
+       $ Load_cli.out_arg $ windows_arg $ slo_target_arg))
 
 let main =
   let doc =

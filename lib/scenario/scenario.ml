@@ -498,8 +498,9 @@ type event =
       elapsed : float;
     }
   | Conform_done of { report : Check.Conform.report; elapsed : float }
+  | Violation of failure
 
-type failure = {
+and failure = {
   structure : string;
   source : string;
   schedule : int array;
@@ -572,7 +573,10 @@ let run ?(on_event = fun _ -> ()) ?(now = fun () -> 0.) t =
   let gates = gates_record t in
   let failures = ref [] in
   let trials = ref 0 in
-  let add f = failures := f :: !failures in
+  let add f =
+    failures := f :: !failures;
+    on_event (Violation f)
+  in
   let fault_spec_string =
     if Fault_plan.spec_is_none t.faults then ""
     else Fault_plan.spec_to_string t.faults

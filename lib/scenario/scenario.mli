@@ -159,12 +159,15 @@ type event =
       elapsed : float;
     }
   | Conform_done of { report : Check.Conform.report; elapsed : float }
+  | Violation of failure
       (** Emitted as each unit of work finishes, in execution order —
-          the full library reports, so callers own all formatting
-          (how `repro check`/`chaos` keep their legacy stdout
-          byte-identical). *)
+          the full library reports, so callers own all formatting.
+          Each failure a unit found follows that unit's [_done] event
+          as one [Violation], in the order of [outcome.failures]; this
+          is how `repro check`, `chaos` and `scenario` print violation
+          blocks as they are found. *)
 
-type failure = {
+and failure = {
   structure : string;
   source : string;  (** ["explore"], ["qcheck"], ["chaos"], an adversary name, ["replay"], ["load"]. *)
   schedule : int array;

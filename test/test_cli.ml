@@ -563,6 +563,52 @@ let test_out_unwritable () =
           "serve --structures counter --clients 200 --windows 2";
         ])
 
+(* The same contract for the verdict commands: the --out directory is
+   created before any work, so an unwritable one is a one-line usage
+   error instead of an uncaught Sys_error at the first violation. *)
+let test_verdict_out_unwritable () =
+  with_scratch_dir (fun dir ->
+      List.iter
+        (fun args ->
+          let code, out, err = run dir (args ^ " --out /proc/nope") in
+          Alcotest.(check int) (args ^ " exits 124; stderr: " ^ err) 124 code;
+          Alcotest.(check string) (args ^ " nothing ran") "" out;
+          Alcotest.(check int) (args ^ " one stderr line") 1
+            (List.length (String.split_on_char '\n' (String.trim err)));
+          Alcotest.(check bool) (args ^ " names --out") true
+            (contains err "--out: ");
+          Alcotest.(check bool) (args ^ " no uncaught exception") false
+            (contains err "uncaught exception"))
+        [
+          "check --mode explore --structures cas-counter -n 2 --ops 1";
+          "chaos --structures cas-counter -n 2 --ops 1 --trials 1 --no-sweep \
+           --no-manifest";
+          "scenario --preset quick --structures cas-counter -n 2 --ops 1";
+        ])
+
+(* A malformed --replay schedule or --tail mode is a usage error naming
+   the flag, not an uncaught Invalid_argument or a silent default. *)
+let test_replay_flags_validated () =
+  with_scratch_dir (fun dir ->
+      let rejected args needle =
+        let code, out, err = run dir args in
+        Alcotest.(check int) (args ^ " exits 124; stderr: " ^ err) 124 code;
+        Alcotest.(check string) (args ^ " nothing ran") "" out;
+        Alcotest.(check int) (args ^ " one stderr line") 1
+          (List.length (String.split_on_char '\n' (String.trim err)));
+        Alcotest.(check bool) (args ^ " names the flag") true
+          (contains err needle && not (contains err "uncaught exception"))
+      in
+      rejected "check --structures cas-counter -n 2 --ops 1 --replay 0,x,1"
+        "--replay: ";
+      rejected
+        "chaos --structures cas-counter -n 2 --ops 1 --replay 0,x,1 --faults \
+         none --no-sweep"
+        "--replay: ";
+      rejected
+        "check --structures cas-counter -n 2 --ops 1 --replay 0,1 --tail wibble"
+        "unknown --tail: wibble")
+
 let test_load_outage_drill () =
   (* Permanently crash both workers of both shards: the service must
      degrade (all requests dropped), name the stopped shards on stderr,
@@ -757,6 +803,10 @@ let () =
             test_out_under_file_fails_fast;
           Alcotest.test_case "load/serve --out unwritable" `Quick
             test_out_unwritable;
+          Alcotest.test_case "check/chaos/scenario --out unwritable" `Quick
+            test_verdict_out_unwritable;
+          Alcotest.test_case "--replay/--tail validated" `Quick
+            test_replay_flags_validated;
           Alcotest.test_case "bad fault spec rejected" `Quick
             test_bad_fault_spec_rejected;
           Alcotest.test_case "chaos --faults validated" `Quick

@@ -111,7 +111,8 @@ let test_events_arrive_in_source_order () =
           | Scenario.Chaos_done { structure; _ } -> "chaos:" ^ structure
           | Scenario.Replay_done { structure; _ } -> "replay:" ^ structure
           | Scenario.Load_done { structure; _ } -> "load:" ^ structure
-          | Scenario.Conform_done _ -> "conform")
+          | Scenario.Conform_done _ -> "conform"
+          | Scenario.Violation f -> "violation:" ^ f.structure)
           :: !order)
       scn
   in
@@ -120,6 +121,35 @@ let test_events_arrive_in_source_order () =
     [ "explore:cas-counter"; "fuzz:cas-counter" ]
     (List.rev !order);
   Alcotest.(check bool) "fuzz trials counted" true (out.Scenario.trials > 0)
+
+let test_violation_events_follow_their_unit () =
+  (* Every failure arrives as a Violation event, in outcome order, and
+     after the Explore_done of the structure that found it. *)
+  let events = ref [] in
+  let scn =
+    Scenario.make ~n:2 ~ops:2 ~faults:no_faults ~sources:[ Scenario.Explore ]
+      ~gates:[ Scenario.Lin ] ~budget:bug_budget
+      ~structures:[ "cas-counter"; "counter-nocas" ] ()
+  in
+  let out = Scenario.run ~on_event:(fun e -> events := e :: !events) scn in
+  let events = List.rev !events in
+  let violations =
+    List.filter_map (function Scenario.Violation f -> Some f | _ -> None) events
+  in
+  Alcotest.(check bool) "the nocas explore found violations" true
+    (violations <> []);
+  Alcotest.(check bool) "payloads equal outcome.failures, in order" true
+    (violations = out.Scenario.failures);
+  let rec follows done_ = function
+    | [] -> true
+    | Scenario.Explore_done { structure; _ } :: rest ->
+        follows (structure :: done_) rest
+    | Scenario.Violation f :: rest ->
+        List.mem f.structure done_ && follows done_ rest
+    | _ :: rest -> follows done_ rest
+  in
+  Alcotest.(check bool) "each violation follows its Explore_done" true
+    (follows [] events)
 
 let test_load_source_beyond_checker_limit () =
   (* 3 clients x 30 ops = 90 events: past the 62-op checker bound, so
@@ -422,6 +452,8 @@ let () =
         [
           Alcotest.test_case "events in source order" `Quick
             test_events_arrive_in_source_order;
+          Alcotest.test_case "violation events follow their unit" `Quick
+            test_violation_events_follow_their_unit;
           Alcotest.test_case "load source beyond 62 ops" `Quick
             test_load_source_beyond_checker_limit;
           Alcotest.test_case "replay source" `Quick test_replay_source_judged;
