@@ -230,20 +230,33 @@ let parse_token token =
               | None -> fail ())
           | _ -> fail ()))
   | None -> (
+      (* Rate entries are range-checked here, so a bad rate is a parse
+         error rather than a failure once the plan is instantiated.
+         casfail excludes 1 as {!validate} does: a CAS must be able to
+         succeed. *)
+      let out_of_range what =
+        Error (Printf.sprintf "bad --faults token %S: %s" token what)
+      in
+      let rate ?(casfail = false) r k =
+        match float_of r with
+        | Some r when r >= 0. && (r < 1. || ((not casfail) && r = 1.)) -> Ok (`Rate (k r))
+        | Some _ ->
+            out_of_range
+              (if casfail then "rate must be in [0,1)" else "rate must be in [0,1]")
+        | None -> fail ()
+      in
       match split2 '~' token with
-      | Some ("crash", r) -> (
-          match float_of r with Some r -> Ok (`Rate (`Crash r)) | None -> fail ())
-      | Some ("recover", r) -> (
-          match float_of r with Some r -> Ok (`Rate (`Recover r)) | None -> fail ())
+      | Some ("crash", r) -> rate r (fun r -> `Crash r)
+      | Some ("recover", r) -> rate r (fun r -> `Recover r)
       | Some ("stall", rest) -> (
           match split2 ':' rest with
           | Some (r, d) -> (
-              match (float_of r, int_of d) with
-              | Some r, Some d -> Ok (`Rate (`Stall (r, d)))
-              | _ -> fail ())
+              match int_of d with
+              | Some d when d >= 0 -> rate r (fun r -> `Stall (r, d))
+              | Some _ -> out_of_range "stall duration must be non-negative"
+              | None -> fail ())
           | None -> fail ())
-      | Some ("casfail", r) -> (
-          match float_of r with Some r -> Ok (`Rate (`Casfail r)) | None -> fail ())
+      | Some ("casfail", r) -> rate ~casfail:true r (fun r -> `Casfail r)
       | Some _ -> fail ()
       | None -> (
           match split2 ':' token with
@@ -306,7 +319,7 @@ let instantiate spec ~seed ~n ~horizon =
     for time = 0 to horizon - 1 do
       for p = 0 to n - 1 do
         if crashed.(p) then begin
-          if r.recover > 0. && Stats.Rng.float rng 1.0 < r.recover then begin
+          if r.recover > 0. && Stats.Rng.bernoulli rng r.recover then begin
             crashed.(p) <- false;
             decr crashed_count;
             events := (time, Restart p) :: !events
@@ -316,13 +329,13 @@ let instantiate spec ~seed ~n ~horizon =
           if
             r.crash > 0.
             && !crashed_count < n - 1
-            && Stats.Rng.float rng 1.0 < r.crash
+            && Stats.Rng.bernoulli rng r.crash
           then begin
             crashed.(p) <- true;
             incr crashed_count;
             events := (time, Crash p) :: !events
           end
-          else if r.stall > 0. && Stats.Rng.float rng 1.0 < r.stall then
+          else if r.stall > 0. && Stats.Rng.bernoulli rng r.stall then
             events := (time, Stall (p, r.stall_len)) :: !events
         end
       done
@@ -330,5 +343,7 @@ let instantiate spec ~seed ~n ~horizon =
     let spurious =
       if r.casfail > 0. then [ (None, r.casfail) ] else []
     in
-    merge spec.base { events = sort_events (List.rev !events); spurious }
+    (* The walk emits events in time order, so they need no sort. *)
+    let walk = { events = Array.of_list (List.rev !events); spurious } in
+    if is_none spec.base then walk else merge spec.base walk
   end

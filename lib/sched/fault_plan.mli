@@ -120,7 +120,10 @@ val parse_spec : string -> (spec, string) result
 (** Grammar (comma-separated tokens; [""] and ["none"] are empty):
     [crash@T:P], [restart@T:P], [stall@T:P+D], [casfail:P=R] (P may be
     [*]), and rate entries [crash~R], [recover~R], [stall~R:D],
-    [casfail~R].  Errors are one-line messages naming the bad token. *)
+    [casfail~R].  Rate entries are range-checked: [crash]/[recover]/
+    [stall] rates in [[0,1]], [casfail~R] in [[0,1)] as {!validate}
+    requires, and a non-negative stall duration [D].  Errors are
+    one-line messages naming the bad token. *)
 
 val spec_is_none : spec -> bool
 

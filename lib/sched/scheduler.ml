@@ -153,7 +153,7 @@ let with_weak_fairness ~theta adv =
         let mass = float_of_int k *. theta in
         if mass > 1. +. 1e-12 then
           invalid_arg "Scheduler.with_weak_fairness: k * theta exceeds 1";
-        if Stats.Rng.float rng 1.0 < mass then pick_uniform rng alive
+        if Stats.Rng.bernoulli rng mass then pick_uniform rng alive
         else adv.pick ~rng ~alive ~time);
   }
 

@@ -118,7 +118,7 @@ let make ?slots:(slot_count = 0) ?(poll = 4) ?(push_ratio = 0.5) ~n () =
   let program (ctx : Program.ctx) =
     let ops = ref 0 in
     let rec loop () =
-      (if Stats.Rng.float ctx.rng 1.0 < push_ratio then
+      (if Stats.Rng.bernoulli ctx.rng push_ratio then
          let v = (!ops * n) + ctx.id + 1 in
          push_op ~memory ~top ~slots ~poll ctx v
        else ignore (pop_op ~top ~slots ~eliminated ctx));

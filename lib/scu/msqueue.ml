@@ -75,7 +75,7 @@ let build ?(enqueue_ratio = 0.5) ~n ~logged ~ops_per_process () =
   in
   let one_op (ctx : Program.ctx) k =
     let m =
-      if Stats.Rng.float ctx.rng 1.0 < enqueue_ratio then begin
+      if Stats.Rng.bernoulli ctx.rng enqueue_ratio then begin
         let v = unique_value ~n ~id:ctx.id ~op_index:k in
         enqueue_op ~memory ~tail v;
         Option.iter

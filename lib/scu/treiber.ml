@@ -49,7 +49,7 @@ let make ?(push_ratio = 0.5) ~n () =
     let ops = ref 0 in
     let rec loop () =
       let m =
-        if Stats.Rng.float ctx.rng 1.0 < push_ratio then begin
+        if Stats.Rng.bernoulli ctx.rng push_ratio then begin
           push_op ~memory ~top (unique_value ~n ~id:ctx.id ~op_index:!ops);
           0
         end
@@ -82,7 +82,7 @@ let make_logged ?(push_ratio = 0.5) ~n ~ops_per_process () =
   let pop_log = Memory.alloc memory ~size:(n * ops_per_process) in
   let program (ctx : Program.ctx) =
     for k = 0 to ops_per_process - 1 do
-      if Stats.Rng.float ctx.rng 1.0 < push_ratio then begin
+      if Stats.Rng.bernoulli ctx.rng push_ratio then begin
         let v = unique_value ~n ~id:ctx.id ~op_index:k in
         push_op ~memory ~top v;
         Program.write (push_log + (ctx.id * ops_per_process) + k) (v + 2)

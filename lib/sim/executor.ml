@@ -341,7 +341,7 @@ let exec ?(config = Config.default) ~(scheduler : Sched.Scheduler.t) ~n ~stop
            match op with
            | Memory.Cas _ | Memory.Cas_get _ ->
                let r = rates.(!current_proc) in
-               if r > 0. && Stats.Rng.float srng 1.0 < r then begin
+               if r > 0. && Stats.Rng.bernoulli srng r then begin
                  run.spurious_cas <- run.spurious_cas + 1;
                  true
                end
@@ -537,7 +537,7 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
           if
             has_spurious
             && (let r = Array.unsafe_get rates i in
-                r > 0. && Stats.Rng.float srng 1.0 < r)
+                r > 0. && Stats.Rng.bernoulli srng r)
           then begin
             run.spurious_cas <- run.spurious_cas + 1;
             0
@@ -556,7 +556,7 @@ let exec_compiled ?(config = Config.default) ~(scheduler : Sched.Scheduler.t)
           if
             has_spurious
             && (let r = Array.unsafe_get rates i in
-                r > 0. && Stats.Rng.float srng 1.0 < r)
+                r > 0. && Stats.Rng.bernoulli srng r)
           then begin
             run.spurious_cas <- run.spurious_cas + 1;
             denied := true;

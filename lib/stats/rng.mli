@@ -6,7 +6,8 @@
     seed; nothing uses the ambient [Stdlib.Random] state. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, kept unboxed: the draws returning an
+    [int] or a [bool] allocate nothing. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed. Generators
@@ -36,8 +37,14 @@ val fill_int : t -> int -> int array -> len:int -> unit
     [bound <= 0] or [len] exceeds the array. *)
 
 val float : t -> float -> float
-(** [float g bound] is uniform on [0, bound).  [bound] must be positive
-    and finite. *)
+(** [float g bound] is uniform on [0, bound).  Raises
+    [Invalid_argument] unless [bound] is positive and finite. *)
+
+val bernoulli : t -> float -> bool
+(** [bernoulli g p] is a coin that lands [true] with probability [p]:
+    exactly [float g 1.0 < p], consuming the same single draw, but
+    without boxing a float.  Any [p] is accepted ([p <= 0] is never
+    true, [p >= 1] always). *)
 
 val bool : t -> bool
 (** Fair coin flip. *)
@@ -52,7 +59,8 @@ val geometric : t -> p:float -> int
 
 val pick_weighted : t -> float array -> int
 (** [pick_weighted g w] samples index [i] with probability
-    [w.(i) /. total].  Weights must be non-negative with a positive sum. *)
+    [w.(i) /. total].  Weights must be non-negative with a positive,
+    finite sum. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -311,6 +311,32 @@ let test_chaos_validation_errors () =
       Alcotest.(check bool) "bad token: nonzero exit" true (code <> 0);
       Alcotest.(check bool) "bad token: named" true (contains err "wibble"))
 
+let test_fault_rates_range_checked () =
+  (* Out-of-range rate entries are parse errors on every command that
+     takes --faults: exit 124 with one stderr line naming the token,
+     never an exception from deep inside a run. *)
+  with_scratch_dir (fun dir ->
+      let rejected args token =
+        let code, out, err = run dir args in
+        let label = Printf.sprintf "%s (stderr: %s)" args err in
+        Alcotest.(check int) (label ^ ": exit 124") 124 code;
+        Alcotest.(check string) (label ^ ": nothing ran") "" out;
+        Alcotest.(check int) (label ^ ": one stderr line") 1
+          (List.length (String.split_on_char '\n' (String.trim err)));
+        Alcotest.(check bool) (label ^ ": names the token") true (contains err token);
+        Alcotest.(check bool) (label ^ ": no uncaught exception") false
+          (contains err "uncaught exception")
+      in
+      rejected "load --clients 10 --no-progress --faults casfail~1.5" "casfail~1.5";
+      rejected "load --clients 10 --no-progress --faults stall~0.01:-3" "stall~0.01:-3";
+      rejected "load --clients 10 --no-progress --faults crash~1.5" "crash~1.5";
+      rejected "load --clients 10 --no-progress --faults recover~nan,crash~0.01" "recover~nan";
+      rejected "serve --clients 10 --no-progress --faults crash~-0.3" "crash~-0.3";
+      rejected "chaos --no-sweep --faults casfail~1" "casfail~1";
+      rejected
+        "scenario --spec 'structures=cas-counter;sources=chaos;faults=casfail~1.5'"
+        "casfail~1.5")
+
 let test_check_crash_validation () =
   with_scratch_dir (fun dir ->
       let code, out, err =
@@ -811,6 +837,8 @@ let () =
             test_bad_fault_spec_rejected;
           Alcotest.test_case "chaos --faults validated" `Quick
             test_chaos_validation_errors;
+          Alcotest.test_case "--faults rates range-checked" `Quick
+            test_fault_rates_range_checked;
           Alcotest.test_case "check --crash validated" `Quick
             test_check_crash_validation;
           Alcotest.test_case "load --ns typo named" `Quick

@@ -272,6 +272,32 @@ let test_fault_plan_parse_roundtrip () =
   | Error msg ->
       Alcotest.(check bool) "error names the token" true (contains msg "crash@oops")
 
+let test_fault_plan_rates_range_checked () =
+  let rejected spec needle =
+    match FP.parse_spec spec with
+    | Ok _ -> Alcotest.failf "%S accepted" spec
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S: one line naming %S (got %S)" spec needle msg)
+          true
+          (contains msg needle && not (String.contains msg '\n'))
+  in
+  rejected "crash~1.5" "crash~1.5";
+  rejected "crash~-0.3" "crash~-0.3";
+  rejected "recover~nan,crash~0.01" "recover~nan";
+  rejected "crash~0.01,stall~2:3" "stall~2:3";
+  rejected "stall~0.01:-3" "stall~0.01:-3";
+  (* casfail excludes 1, as [validate] does for spurious rates. *)
+  rejected "casfail~1" "casfail~1";
+  rejected "casfail~1.5" "casfail~1.5";
+  rejected "casfail~inf" "casfail~inf";
+  match FP.parse_spec "crash~1,recover~0,stall~1:0,casfail~0.99" with
+  | Ok s ->
+      Alcotest.(check bool) "closed bounds accepted" true
+        (s.FP.rates
+        = { FP.crash = 1.; recover = 0.; stall = 1.; stall_len = 0; casfail = 0.99 })
+  | Error e -> Alcotest.failf "in-range rates rejected: %s" e
+
 let test_fault_plan_validation () =
   let ok = function Ok () -> true | Error _ -> false in
   Alcotest.(check bool) "all-crash healed by a restart is fine" true
@@ -313,6 +339,48 @@ let test_fault_plan_instantiate () =
     (FP.to_string base)
     (FP.to_string
        (FP.instantiate { FP.base; rates = FP.zero_rates } ~seed:9 ~n:4 ~horizon:100))
+
+(* Plans captured before the generator state was unboxed: instantiate
+   must expand each tier to exactly these events, draw for draw. *)
+let test_fault_plan_tiers_pinned () =
+  List.iter
+    (fun (tier, expect) ->
+      let rates = Option.get (FP.tier_rates tier) in
+      Alcotest.(check string) tier expect
+        (FP.to_string (FP.instantiate { FP.base = FP.none; rates } ~seed:42 ~n:4 ~horizon:400)))
+    [
+      ("quick", "");
+      ( "standard",
+        "stall@21:1+3,crash@172:0,restart@177:0,stall@219:0+3,stall@334:0+3,crash@340:2,\
+         restart@356:2,crash@386:0,restart@394:0,casfail:*=0.02" );
+      ("century", "casfail:*=0.0005");
+      ( "chaos",
+        "stall@21:1+5,stall@26:3+5,stall@39:1+5,crash@62:0,crash@71:3,restart@74:0,\
+         stall@83:1+5,restart@83:3,crash@85:2,stall@94:0+5,crash@107:0,restart@116:2,\
+         crash@124:2,restart@142:0,crash@150:1,restart@155:1,restart@156:2,stall@168:1+5,\
+         crash@181:3,stall@189:2+5,crash@191:0,stall@195:1+5,restart@197:0,stall@198:1+5,\
+         stall@213:0+5,stall@243:2+5,restart@247:3,stall@260:1+5,stall@287:0+5,crash@314:1,\
+         restart@316:1,stall@359:2+5,crash@366:0,stall@378:2+5,restart@382:0,crash@383:1,\
+         restart@386:1,casfail:*=0.1" );
+    ]
+
+(* The walk draws one coin per (step, process) cell; with unboxed
+   generator state only the emitted events allocate.  Exact in one
+   domain, and only meaningful where the inliner runs. *)
+let test_fault_plan_instantiate_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 8 and horizon = 100_000 in
+    let spec = { FP.base = FP.none; rates = FP.standard_rates } in
+    ignore (FP.instantiate spec ~seed:1 ~n ~horizon:100);
+    let before = Gc.minor_words () in
+    let plan = FP.instantiate spec ~seed:1 ~n ~horizon in
+    let words = Gc.minor_words () -. before in
+    let per_cell = words /. float_of_int (n * horizon) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.3f minor words per cell < 0.1 (%d events)" per_cell
+         (Array.length (FP.events plan)))
+      true (per_cell < 0.1)
+  end
 
 let test_fault_plan_merge_and_rates () =
   let a = FP.make ~spurious:[ (Some 0, 0.2) ] [ (1, FP.Crash 0) ] in
@@ -427,9 +495,14 @@ let () =
       ( "fault plans",
         [
           Alcotest.test_case "parse round-trip" `Quick test_fault_plan_parse_roundtrip;
+          Alcotest.test_case "rate entries range-checked" `Quick
+            test_fault_plan_rates_range_checked;
           Alcotest.test_case "validation" `Quick test_fault_plan_validation;
           Alcotest.test_case "instantiate deterministic" `Quick
             test_fault_plan_instantiate;
+          Alcotest.test_case "tiers pinned" `Quick test_fault_plan_tiers_pinned;
+          Alcotest.test_case "instantiate allocation" `Quick
+            test_fault_plan_instantiate_allocation;
           Alcotest.test_case "merge and rates" `Quick test_fault_plan_merge_and_rates;
         ] );
       ( "distribution probes",

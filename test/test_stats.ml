@@ -89,6 +89,170 @@ let prop_rng_int_in_bounds =
       let v = Stats.Rng.int g bound in
       v >= 0 && v < bound)
 
+(* Literal first outputs per seed, captured before the generator state
+   was unboxed: any change to the splitmix64 stream, the rejection rule
+   or the float scaling shows up here, not only as a self-mismatch. *)
+type rng_pin = {
+  seed : int;
+  bits64 : int64 list;
+  int37 : int list;
+  float25 : float list;
+  bools : bool list;
+  exp3 : float list;
+  split_child : int64 list;
+  fill9 : int list;
+}
+
+let rng_pins =
+  [
+    {
+      seed = 0;
+      bits64 = [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ];
+      int37 = [ 26; 16; 10 ];
+      float25 = [ 2.2082770205341067; 1.0788199926212749; 0.066084428981494359 ];
+      bools = [ true; false; true; false; true; false; true; false ];
+      exp3 = [ 6.4447240780451498; 1.694409642693484 ];
+      split_child = [ -6411193824288604561L; -5511663747979980962L ];
+      fill9 = [ 1; 0; 4; 4; 7; 7; 1; 2; 8 ];
+    };
+    {
+      seed = 7;
+      bits64 = [ 7191089600892374487L; 309689372594955804L; -1830642326893942270L ];
+      int37 = [ 21; 15; 7 ];
+      float25 = [ 0.97457437097817867; 0.041970736320390278; 2.2519017015172085 ];
+      bools = [ true; false; false; true; false; true; false; false ];
+      exp3 = [ 1.4820517792749075; 0.050792445951621107 ];
+      split_child = [ -5137267319001854395L; -6461814455296669442L ];
+      fill9 = [ 0; 6; 4; 3; 8; 5; 8; 7; 4 ];
+    };
+    {
+      seed = max_int;
+      bits64 = [ 4890637089070741670L; 1157452369933151741L; -643383930175548127L ];
+      int37 = [ 7; 7; 32 ];
+      float25 = [ 0.66280491960108523; 0.15686404675375215; 2.4128052181451758 ];
+      bools = [ false; true; true; false; false; true; false; true ];
+      exp3 = [ 0.92415220853804991; 0.19440164623622253 ];
+      split_child = [ -465555950222020276L; 3673247009141676037L ];
+      fill9 = [ 3; 1; 2; 4; 5; 2; 4; 5; 1 ];
+    };
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun pin ->
+      let fresh () = Stats.Rng.create ~seed:pin.seed in
+      let draws f xs =
+        let g = fresh () in
+        List.map (fun _ -> f g) xs
+      in
+      let name what = Printf.sprintf "seed %d %s" pin.seed what in
+      Alcotest.(check (list int64)) (name "bits64") pin.bits64 (draws Stats.Rng.bits64 pin.bits64);
+      Alcotest.(check (list int)) (name "int 37") pin.int37
+        (draws (fun g -> Stats.Rng.int g 37) pin.int37);
+      Alcotest.(check (list (float 0.))) (name "float 2.5") pin.float25
+        (draws (fun g -> Stats.Rng.float g 2.5) pin.float25);
+      Alcotest.(check (list bool)) (name "bool") pin.bools (draws Stats.Rng.bool pin.bools);
+      Alcotest.(check (list (float 0.))) (name "exponential") pin.exp3
+        (draws (fun g -> Stats.Rng.exponential g ~mean:3.) pin.exp3);
+      let parent = fresh () in
+      let child = Stats.Rng.split parent in
+      Alcotest.(check (list int64)) (name "split child") pin.split_child
+        (List.map (fun _ -> Stats.Rng.bits64 child) pin.split_child);
+      (* [split] consumes exactly one draw of the parent. *)
+      Alcotest.(check int64) (name "parent after split") (List.nth pin.bits64 1)
+        (Stats.Rng.bits64 parent);
+      let dst = Array.make 9 (-1) in
+      Stats.Rng.fill_int (fresh ()) 9 dst ~len:9;
+      Alcotest.(check (list int)) (name "fill_int 9") pin.fill9 (Array.to_list dst))
+    rng_pins
+
+let test_rng_float_rejects_bad_bound () =
+  let g = Stats.Rng.create ~seed:9 in
+  List.iter
+    (fun bound ->
+      Alcotest.check_raises (Printf.sprintf "bound %g" bound)
+        (Invalid_argument "Rng.float: bound must be positive and finite")
+        (fun () -> ignore (Stats.Rng.float g bound)))
+    [ Float.infinity; Float.neg_infinity; Float.nan; 0.; -1. ];
+  List.iter
+    (fun w ->
+      Alcotest.check_raises "non-finite total"
+        (Invalid_argument "Rng.pick_weighted: non-finite total weight")
+        (fun () -> ignore (Stats.Rng.pick_weighted g w)))
+    [ [| 1.; Float.infinity |]; [| Float.max_float; Float.max_float |]; [| Float.nan |] ];
+  Alcotest.check_raises "zero total" (Invalid_argument "Rng.pick_weighted: zero total weight")
+    (fun () -> ignore (Stats.Rng.pick_weighted g [| 0.; 0. |]))
+
+let prop_rng_bernoulli_is_float_coin =
+  prop "bernoulli g p = float (copy g) 1.0 < p, same state after"
+    QCheck2.Gen.(
+      pair (int_range 0 100_000)
+        (oneof
+           [
+             float_range (-0.1) 1.1;
+             oneofl [ 0.; 1.; 0.5; Float.nan; Float.infinity; Float.neg_infinity ];
+           ]))
+    (fun (seed, p) ->
+      let g = Stats.Rng.create ~seed in
+      let h = Stats.Rng.copy g in
+      let coin = Stats.Rng.bernoulli g p in
+      coin = (Stats.Rng.float h 1.0 < p) && Stats.Rng.bits64 g = Stats.Rng.bits64 h)
+
+let prop_rng_fill_int_is_successive_ints =
+  prop "fill_int g k dst ~len = len successive int g k"
+    QCheck2.Gen.(
+      triple (int_range 0 100_000)
+        (* Bounds just above max_int/2 reject about half of all draws. *)
+        (oneof [ int_range 1 1000; int_range ((max_int / 2) + 1) max_int ])
+        (int_range 0 64))
+    (fun (seed, bound, len) ->
+      let g = Stats.Rng.create ~seed in
+      let h = Stats.Rng.copy g in
+      let dst = Array.make (len + 3) (-1) in
+      Stats.Rng.fill_int g bound dst ~len;
+      let expect = Array.init len (fun _ -> Stats.Rng.int h bound) in
+      Array.sub dst 0 len = expect
+      && Array.for_all (( = ) (-1)) (Array.sub dst len 3)
+      && Stats.Rng.bits64 g = Stats.Rng.bits64 h)
+
+(* Minor words allocated by [f ()], net of the measurement itself. *)
+let minor_words_of f =
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  measure f -. measure ignore
+
+(* Exact in a single domain, and only meaningful where the inliner runs. *)
+let test_rng_draws_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let g = Stats.Rng.create ~seed:11 in
+    let dst = Array.make 10 0 in
+    let draws = 10_000 in
+    let cases =
+      [
+        ("int", fun () -> for _ = 1 to draws do ignore (Stats.Rng.int g 37) done);
+        ("bool", fun () -> for _ = 1 to draws do ignore (Stats.Rng.bool g) done);
+        ( "bernoulli",
+          fun () -> for _ = 1 to draws do ignore (Stats.Rng.bernoulli g 0.3) done );
+        ( "fill_int",
+          fun () -> for _ = 1 to draws / 10 do Stats.Rng.fill_int g 37 dst ~len:10 done );
+      ]
+    in
+    List.iter
+      (fun (name, f) ->
+        f ();
+        Alcotest.(check (float 0.)) (name ^ ": minor words") 0. (minor_words_of f))
+      cases;
+    let f () = for _ = 1 to draws do ignore (Stats.Rng.float g 2.5) done in
+    f ();
+    let per_draw = minor_words_of f /. float_of_int draws in
+    Alcotest.(check bool)
+      (Printf.sprintf "float: %.2f words/draw <= 2" per_draw)
+      true (per_draw <= 2.)
+  end
+
 (* -- Summary ------------------------------------------------------- *)
 
 let test_summary_basic () =
@@ -467,7 +631,13 @@ let () =
           Alcotest.test_case "perm" `Quick test_rng_perm;
           Alcotest.test_case "copy identical" `Quick test_rng_copy_identical;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "float/pick_weighted reject bad bounds" `Quick
+            test_rng_float_rejects_bad_bound;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           prop_rng_int_in_bounds;
+          prop_rng_bernoulli_is_float_coin;
+          prop_rng_fill_int_is_successive_ints;
         ] );
       ( "summary",
         [
